@@ -2,7 +2,8 @@
 """Run the full prime-stability verification sweep (11 <= p <= 31).
 
 Prints one summary line per prime and optionally dumps the JSON reports.
-The all-rows consistency run at p = 11 is included by default.
+Each prime is then searched again over every row (the all-rows superset),
+which must give the same delta = 6p - 18; --skip-all-rows leaves that out.
 """
 
 import argparse
@@ -18,7 +19,6 @@ PRIMES = (11, 13, 17, 19, 23, 29, 31)
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json-dir", help="write one report JSON per prime here")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--skip-all-rows", action="store_true")
     args = ap.parse_args()
 
@@ -29,7 +29,7 @@ def main() -> int:
     all_ok = True
     for p in PRIMES:
         start = time.perf_counter()
-        report = prime_stability_verify(p, threads=args.threads)
+        report = prime_stability_verify(p)
         elapsed = time.perf_counter() - start
         ok = report.theorem_confirmed()
         all_ok &= ok
@@ -49,10 +49,16 @@ def main() -> int:
             )
 
     if not args.skip_all_rows:
-        report = prime_stability_verify(11, all_rows=True, threads=args.threads)
-        ok = report.theorem_confirmed() and report.delta == 48
-        all_ok &= ok
-        print(f"p=11 (all rows)  delta={report.delta}  {'OK' if ok else 'FAILED'}")
+        for p in PRIMES:
+            start = time.perf_counter()
+            report = prime_stability_verify(p, all_rows=True)
+            elapsed = time.perf_counter() - start
+            ok = report.theorem_confirmed() and report.delta == 6 * p - 18
+            all_ok &= ok
+            print(
+                f"p={p:2d} (all rows)  delta={report.delta:3d}  "
+                f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
+            )
 
     print("conclusion:", "delta = 6p-18 confirmed for all searched primes" if all_ok else "FAILURE")
     return 0 if all_ok else 1

@@ -9,9 +9,9 @@ when --allow-slow is passed.
 import argparse
 
 from cayleydist import (
-    GroupKind,
     brute_delta,
     distinct_table_counts,
+    groups_of_order,
     is_prime,
     kind_stability,
 )
@@ -31,15 +31,8 @@ def main() -> int:
         print(line)
 
     if args.allow_slow:
-        kinds = [
-            GroupKind.cyclic(8),
-            GroupKind.direct_product(GroupKind.cyclic(4), GroupKind.cyclic(2)),
-            GroupKind.elementary_abelian(3),
-            GroupKind.dihedral(4),
-            GroupKind.quaternion8(),
-        ]
         print(f"n=8  tables={sum(distinct_table_counts(8).values())}")
-        for kind in kinds:
+        for kind in groups_of_order(8):
             mu, _ = kind_stability(kind, "mu", allow_slow=True)
             nu, _ = kind_stability(kind, "nu", allow_slow=True)
             print(f"  {kind.label():20s} mu={mu:3d}  nu={nu:3d}  delta={min(mu, nu)}")

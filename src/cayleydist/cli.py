@@ -233,7 +233,7 @@ def _cmd_check_lemmas(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
-    report = prime_stability_verify(args.prime, all_rows=args.all_rows, threads=args.threads)
+    report = prime_stability_verify(args.prime, all_rows=args.all_rows)
     lines = [f"stability verification for p={args.prime} ({report.rows_searched}):"]
     for case in report.m_cases:
         lines.append(
@@ -253,7 +253,6 @@ def _cmd_verify(args) -> CommandResult:
     )
     return CommandResult(
         command="verify",
-        # threads is deliberately not echoed: output is schedule-independent
         params={"prime": args.prime, "all_rows": args.all_rows},
         result=report.to_dict(),
         counts={
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive stability verification for a prime")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--all-rows", action="store_true", help="search every row, not just h=1")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force delta/mu/nu at small orders")

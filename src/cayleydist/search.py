@@ -9,7 +9,6 @@ small-order brute-force oracle that enumerates every group table on
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -37,7 +36,9 @@ from .group_core import (
 )
 from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
 
-_CHUNK = 512
+# Patterns per block of the array search.  Bounds its working memory, the
+# (block, p(p-1)/2) arrays of the distance kernel, to a few MiB at p = 31.
+_BLOCK = 2048
 
 SCOPE_ALIASES = {
     "all": "all",
@@ -121,27 +122,49 @@ class VerificationReport:
         }
 
 
-def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
-    """All candidate patterns in lexicographic position order.
+# The rearrangements tried at each m, as "next slot" rows: slot j of the
+# position tuple takes the row value found at slot nxt[j].  Their order is
+# the enumeration order within one position tuple.  m = 3 gets both
+# 3-cycles (the single-picture reading is unproved, so the superset is
+# enumerated); m = 4 gets the forced double transposition (i0 i2)(i1 i3).
+REARRANGEMENTS: dict[int, tuple[tuple[int, ...], ...]] = {
+    3: ((1, 2, 0), (2, 0, 1)),
+    4: ((2, 3, 0, 1),),
+}
 
-    m = 4 gets the forced double-transposition rearrangement; m = 3 gets
-    both 3-cycles per position tuple (the single-picture reading is
-    unproved, so the superset is enumerated).
+
+def _pattern(
+    p: int, h: int, positions: tuple[int, ...], nxt: Sequence[int]
+) -> PatternMod:
+    """The PatternMod that moves positions by the next-slot row nxt."""
+    cycles, seen = [], set()
+    for j in range(len(nxt)):
+        cyc = []
+        while j not in seen:
+            seen.add(j)
+            cyc.append(positions[j])
+            j = nxt[j]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return PatternMod(p, h, len(positions), positions, tuple(cycles))
+
+
+def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
+    """All candidate patterns in lexicographic position order, each
+    position tuple with every rearrangement of REARRANGEMENTS[m].
+
+    This is the readable reference for the order and the content of the
+    search; prime_stability_verify runs the same patterns as arrays.
     """
-    if m not in (3, 4):
+    if m not in REARRANGEMENTS:
         raise UnsupportedM(f"pattern search supports m in {{3, 4}}, got {m}")
     if not is_prime(p) or p <= 7:
         raise InputError(f"need a prime greater than 7, got {p}")
     if not 1 <= h < p:
         raise InputError(f"row h must be in 1..{p - 1}, got {h}")
     for pos in itertools.combinations(range(1, p), m):
-        if m == 4:
-            i0, i1, i2, i3 = pos
-            yield PatternMod(p, h, 4, pos, ((i0, i2), (i1, i3)))
-        else:
-            i0, i1, i2 = pos
-            yield PatternMod(p, h, 3, pos, ((i0, i1, i2),))
-            yield PatternMod(p, h, 3, pos, ((i0, i2, i1),))
+        for nxt in REARRANGEMENTS[m]:
+            yield _pattern(p, h, pos, nxt)
 
 
 def apply_pattern(pattern: PatternMod, base: GroupTable) -> Permutation:
@@ -205,88 +228,94 @@ def complete_from_row(
     return validate_table([list(r) for r in cells if r is not None])
 
 
-def _candidate_phi(p: int, h: int, pattern: PatternMod) -> Optional[np.ndarray]:
-    """phi with phi(k) = sigma^k(0) for the canonical table, or None when
-    sigma is not a p-cycle.  The completed candidate equals the transport
-    of the canonical table by phi."""
-    sigma = list(range(h, p)) + list(range(h))  # canonical row of h
-    pi_at = sigma[:]
-    for cyc in pattern.rearrangement:
-        for idx, exp in enumerate(cyc):
-            nxt = cyc[(idx + 1) % len(cyc)]
-            sigma[(h * exp) % p] = pi_at[(h * nxt) % p]
-    phi = np.empty(p, dtype=np.uint8)
-    phi[0] = 0
-    x = sigma[0]
-    for k in range(1, p):
-        if x == 0:
-            return None
-        phi[k] = x
-        x = sigma[x]
-    if x != 0:
-        return None
-    return phi
+def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pattern of one row as two (N, m) exponent arrays, in
+    enumerate_patterns order: the positions, and for each position the
+    position whose row value it takes."""
+    combos = np.array(list(itertools.combinations(range(1, p), m)), dtype=np.intp)
+    nxt = np.array(REARRANGEMENTS[m], dtype=np.intp)
+    positions = np.repeat(combos, len(nxt), axis=0)
+    sources = combos[:, nxt].reshape(-1, m)
+    return positions, sources
 
 
-def _chunk_distances(
-    p: int, add_idx: np.ndarray, phis: list[np.ndarray]
-) -> np.ndarray:
-    """Exact distance from the canonical table for each completed candidate.
+def _complete_block(
+    p: int, hs: np.ndarray, positions: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi rows and the p-cycle mask for a block of patterns over the
+    canonical Z_p, pattern i modifying row hs[i].
 
-    dist(canonical, transport(canonical, phi)) equals the number of pairs
-    (x, y) with phi(x+y) != phi(x) + phi(y) mod p.
+    The row of h maps x to x + h; the element at exponent i is i*h, so the
+    pattern writes (source + 1)*h at column position*h.  phi(k) is
+    sigma^k(0); sigma is a single p-cycle iff no phi(k), 0 < k < p, is 0,
+    and then the completed table is the transport of Z_p by phi.
     """
-    stack = np.stack(phis)
-    lhs = stack[:, add_idx]
-    rhs = (stack[:, :, None].astype(np.int16) + stack[:, None, :]) % p
-    return np.count_nonzero(lhs != rhs.astype(np.uint8), axis=(1, 2))
+    b = len(hs)
+    h = hs[:, None]
+    sigma = ((np.arange(p) + h) % p).astype(np.uint8)
+    sigma[np.arange(b)[:, None], positions * h % p] = (sources + 1) * h % p
+    flat = sigma.ravel()
+    offsets = np.arange(b) * p
+    walk = np.zeros((p, b), dtype=np.uint8)  # walk[k] = sigma^k(0)
+    for k in range(1, p):
+        walk[k] = flat[offsets + walk[k - 1]]
+    return walk.T, (walk[1:] != 0).all(axis=0)
 
 
-def _search_m(
-    p: int, m: int, rows: Sequence[int], threads: int = 1
-) -> MCase:
-    patterns: list[PatternMod] = []
-    for h in rows:
-        patterns.extend(enumerate_patterns(p, m, h=h))
-    add_idx = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
+def _phi_distances(p: int, phi: np.ndarray) -> np.ndarray:
+    """Exact distance from Z_p to its transport by each phi row: the
+    number of cells (x, y) with phi(x + y) != phi(x) + phi(y) mod p.
 
-    def work(chunk_start: int) -> tuple[int, Optional[tuple[int, int]]]:
-        chunk = patterns[chunk_start : chunk_start + _CHUNK]
-        phis, idxs = [], []
-        for off, pat in enumerate(chunk):
-            phi = _candidate_phi(p, pat.h, pat)
-            if phi is not None:
-                phis.append(phi)
-                idxs.append(chunk_start + off)
-        if not phis:
-            return 0, None
-        dvals = _chunk_distances(p, add_idx, phis)
-        j = int(np.argmin(dvals))  # first minimizer within the chunk
-        return len(phis), (int(dvals[j]), idxs[j])
+    Both sides are symmetric in x and y and agree when x or y is 0
+    (phi(0) = 0), so only 0 < x <= y is checked and a pair x < y counts
+    for two cells.
+    """
 
-    starts = range(0, len(patterns), _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, starts))
-    else:
-        results = [work(s) for s in starts]
-    completing = sum(c for c, _ in results)
+    def mismatches(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        t = phi[:, x] + phi[:, y]  # < 2p <= 62, so uint8 cannot wrap
+        t -= phi[:, (x + y) % p]  # a cell that agrees leaves 0 or p
+        return np.count_nonzero((t != 0) & (t != p), axis=1)
+
+    diag = np.arange(1, p)
+    x, y = np.triu_indices(p - 1, k=1)
+    return mismatches(diag, diag) + 2 * mismatches(x + 1, y + 1)
+
+
+def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
+    """Run every pattern of every row in rows, in enumeration order and in
+    blocks of _BLOCK, keeping the first minimizer (distance, index)."""
+    positions, sources = _pattern_table(p, m)
+    per_row = len(positions)
+    total = per_row * len(rows)
+    row_of = np.asarray(rows, dtype=np.intp)
+    completing = 0
     best: Optional[tuple[int, int]] = None
-    for _, entry in results:
-        if entry is not None and (best is None or entry < best):
-            best = entry
+    for start in range(0, total, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, total))
+        j = idx % per_row
+        phi, ok = _complete_block(p, row_of[idx // per_row], positions[j], sources[j])
+        dvals = _phi_distances(p, phi[ok])
+        completing += len(dvals)
+        if len(dvals):
+            k = int(np.argmin(dvals))
+            entry = (int(dvals[k]), int(idx[ok][k]))
+            if best is None or entry < best:
+                best = entry
+    witness = None
+    if best is not None:
+        row, j = divmod(best[1], per_row)
+        nxt = REARRANGEMENTS[m][j % len(REARRANGEMENTS[m])]
+        witness = _pattern(p, rows[row], tuple(int(i) for i in positions[j]), nxt)
     return MCase(
         m=m,
-        candidates_enumerated=len(patterns),
+        candidates_enumerated=total,
         candidates_completing=completing,
         min_distance=best[0] if best else None,
-        witness=patterns[best[1]] if best else None,
+        witness=witness,
     )
 
 
-def prime_stability_verify(
-    p: int, all_rows: bool = False, threads: int = 1
-) -> VerificationReport:
+def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport:
     """Verify stability 6p-18 for a prime 7 < p <= 31 by exhausting every
     single-row pattern not excluded by the analytic bounds.
 
@@ -306,7 +335,7 @@ def prime_stability_verify(
         if report.excluded:
             exclusions.append(report)
         else:
-            m_cases.append(_search_m(p, m, rows, threads=threads))
+            m_cases.append(_search_m(p, m, rows))
     exclusions.append(analytic_lower_bound(p, 5))
     # m = 6 stands for every m >= 6: all bounds grow with m, and the row
     # floor alone already reaches 6(p-1) > 6p-18 there.

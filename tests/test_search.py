@@ -12,7 +12,12 @@ from cayleydist.errors import (
     OutOfVerifiedRange,
     UnsupportedM,
 )
-from cayleydist.search import _candidate_phi, all_group_tables
+from cayleydist.search import (
+    _complete_block,
+    _pattern_table,
+    _phi_distances,
+    all_group_tables,
+)
 
 from conftest import cyclic, oracle_dist
 
@@ -32,11 +37,13 @@ class TestEnumeratePatterns:
             moved = {x for cyc in pat.rearrangement for x in cyc}
             assert moved == set(pat.positions)
             assert all(len(c) >= 2 for c in pat.rearrangement)
+            i0, i1, i2, i3 = pat.positions
+            assert pat.rearrangement == ((i0, i2), (i1, i3))
 
     def test_m3_emits_both_cycles(self):
+        # the order is part of the output: the witness is the first minimizer
         pats = [p for p in cd.enumerate_patterns(11, 3) if p.positions == (1, 2, 3)]
-        assert len(pats) == 2
-        assert pats[0].rearrangement != pats[1].rearrangement
+        assert [p.rearrangement for p in pats] == [((1, 2, 3),), ((1, 3, 2),)]
 
     def test_unsupported_m(self):
         with pytest.raises(UnsupportedM):
@@ -87,22 +94,26 @@ class TestCompleteFromRow:
         assert checked == 25
 
     def test_fast_path_matches_complete_from_row(self):
+        # every pattern of every row at p = 11, against the slow path
         z11 = cyclic(11)
         for m in (3, 4):
-            for pat in list(cd.enumerate_patterns(11, m))[::7]:
-                phi = _candidate_phi(11, pat.h, pat)
-                sigma = cd.apply_pattern(pat, z11)
-                try:
-                    table = cd.complete_from_row(z11, pat.h, sigma)
-                except NotPCycle:
-                    assert phi is None
-                    continue
-                assert phi is not None
-                assert cd.dist(z11, table).total == cd.hom_distance(
-                    [int(v) for v in phi], z11, z11
-                )
-                # phi is the isomorphism from the canonical table
-                assert cd.transport(z11, cd.Permutation(tuple(int(v) for v in phi))) == table
+            positions, sources = _pattern_table(11, m)
+            for h in range(1, 11):
+                phis, ok = _complete_block(11, np.full(len(positions), h), positions, sources)
+                dvals = iter(_phi_distances(11, phis[ok]))
+                pats = cd.enumerate_patterns(11, m, h=h)
+                for pat, phi, completes in zip(pats, phis, ok, strict=True):
+                    sigma = cd.apply_pattern(pat, z11)
+                    try:
+                        table = cd.complete_from_row(z11, h, sigma)
+                    except NotPCycle:
+                        assert not completes
+                        continue
+                    assert completes
+                    # phi is the isomorphism from the canonical table
+                    f = cd.Permutation(tuple(int(v) for v in phi))
+                    assert cd.transport(z11, f) == table
+                    assert next(dvals) == cd.dist(z11, table).total == cd.hom_distance(f, z11, z11)
 
 
 class TestPrimeStabilityVerify:
@@ -132,12 +143,11 @@ class TestPrimeStabilityVerify:
         assert {c.m for c in report.m_cases} == {3}
         assert {b.m for b in report.analytic_exclusions} == {4, 5, 6}
 
-    def test_determinism_and_threads(self):
+    def test_determinism_across_runs(self):
         a = cd.prime_stability_verify(13)
         b = cd.prime_stability_verify(13)
-        c = cd.prime_stability_verify(13, threads=4)
-        assert a == b == c
-        assert a.to_dict() == c.to_dict()
+        assert a == b
+        assert a.to_dict() == b.to_dict()
 
     def test_all_rows_consistent_at_11(self):
         fixed = cd.prime_stability_verify(11)
@@ -152,17 +162,39 @@ class TestPrimeStabilityVerify:
     def test_all_rows_superset_of_fixed_row(self):
         # every candidate table reachable with h = 1 appears in the all-rows set
         for m in (3, 4):
-            fixed_set = set()
+            positions, sources = _pattern_table(11, m)
             full_set = set()
             for h in range(1, 11):
-                for pat in cd.enumerate_patterns(11, m, h=h):
-                    phi = _candidate_phi(11, h, pat)
-                    if phi is None:
-                        continue
-                    full_set.add(phi.tobytes())
-                    if h == 1:
-                        fixed_set.add(phi.tobytes())
+                phis, ok = _complete_block(11, np.full(len(positions), h), positions, sources)
+                found = {phi.tobytes() for phi in phis[ok]}
+                if h == 1:
+                    fixed_set = found
+                full_set |= found
             assert fixed_set <= full_set
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_all_rows_mcase_matches_slow_path(self, p):
+        # rebuild every searched MCase with the slow, obviously correct path
+        base = cyclic(p)
+        report = cd.prime_stability_verify(p, all_rows=True)
+        assert {c.m for c in report.m_cases} == {3, 4}
+        for case in report.m_cases:
+            enumerated = completing = 0
+            best = None  # first minimizer in enumeration order
+            for h in range(1, p):
+                for pat in cd.enumerate_patterns(p, case.m, h=h):
+                    enumerated += 1
+                    try:
+                        table = cd.complete_from_row(base, h, cd.apply_pattern(pat, base))
+                    except NotPCycle:
+                        continue
+                    completing += 1
+                    d = cd.dist(base, table).total
+                    if best is None or d < best[0]:
+                        best = (d, pat)
+            assert case.candidates_enumerated == enumerated
+            assert case.candidates_completing == completing
+            assert (case.min_distance, case.witness) == best
 
     def test_out_of_range(self):
         for p in (7, 37, 9, 2):
