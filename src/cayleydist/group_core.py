@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -274,13 +276,14 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
             break
     if e is None:
         raise NoIdentity("no two-sided identity element")
+    # One (n, n) slab per a: [b, c] holds (ab)c against a(bc).  The first
+    # True of a row-major slab is the lexicographically first offender.
+    arr = np.asarray(grid, dtype=np.intp)
     for a in range(n):
-        for b in range(n):
-            ab = grid[a][b]
-            row_a = grid[a]
-            for c in range(n):
-                if grid[ab][c] != row_a[grid[b][c]]:
-                    raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
+        bad = arr[arr[a]] != arr[a][arr]
+        if bad.any():
+            b, c = divmod(int(np.argmax(bad)), n)
+            raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
     return GroupTable(n=n, cells=grid, identity=e)
 
 

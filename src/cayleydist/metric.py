@@ -149,23 +149,85 @@ def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
     return perm
 
 
+# Transpositions are scored in blocks of this many (u, v) pairs, so the
+# kernel's (B, n) arrays stay small; orders up to 32 take a single block.
+_PAIR_BLOCK = 512
+
+
 def min_transposition_mf(t: GroupTable) -> tuple[int, Permutation]:
-    """Exhaustive minimum of the hom-distance over all transpositions."""
-    if t.n < 5:
-        raise OrderTooSmall(f"need order >= 5, got {t.n}")
-    cells = np.asarray(t.cells, dtype=np.int64)
+    """Exhaustive minimum of the hom-distance over all transpositions.
+
+    For tau = (u v), a cell (a, b) can disagree only when a, b or ab lies
+    in {u, v}, and a cell with a, b outside {u, v} and ab inside always
+    disagrees: tau moves ab and fixes a and b.  So m_f(tau) is the sum of
+    three regions:
+
+    - the mismatches in rows u and v (2n cells);
+    - the mismatches in columns u and v outside those rows (2(n - 2) cells);
+    - #{(a, b) : a, b not in {u, v}, ab in {u, v}}, which is the number of
+      cells holding u or v in the whole table minus those in the first two
+      regions.
+
+    That is O(n) per transposition and O(n^3) in total.  The pairs run in
+    (u, v) lexicographic order, in blocks of _PAIR_BLOCK, and the witness is
+    the first minimizer.
+    """
+    n = t.n
+    if n < 5:
+        raise OrderTooSmall(f"need order >= 5, got {n}")
+    # The narrowest unsigned dtype holding 0..n-1 keeps every pass small.
+    dtype = np.min_scalar_type(n - 1)
+    cells = np.asarray(t.cells, dtype=dtype)
+    cols = np.ascontiguousarray(cells.T)
+    holding = np.bincount(cells.ravel(), minlength=n)
+    us, vs = (idx.astype(dtype) for idx in np.triu_indices(n, k=1))
     best: Optional[int] = None
     witness: Optional[tuple[int, int]] = None
-    perm = np.arange(t.n)
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
-            perm[u], perm[v] = v, u
-            mf = int(np.count_nonzero(perm[cells] != cells[np.ix_(perm, perm)]))
-            perm[u], perm[v] = u, v
-            if best is None or mf < best:
-                best, witness = mf, (u, v)
+    for start in range(0, len(us), _PAIR_BLOCK):
+        u, v = us[start : start + _PAIR_BLOCK], vs[start : start + _PAIR_BLOCK]
+        mf = _transposition_mf(cells, cols, holding, u, v)
+        k = int(np.argmin(mf))
+        if best is None or mf[k] < best:
+            best, witness = int(mf[k]), (int(u[k]), int(v[k]))
     assert best is not None and witness is not None
-    return best, Permutation.transposition(t.n, *witness)
+    return best, Permutation.transposition(n, *witness)
+
+
+def _transposition_mf(
+    cells: np.ndarray,
+    cols: np.ndarray,
+    holding: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    """m_f of each transposition (u[i] v[i]) by the three-region count of
+    min_transposition_mf; cols is the transposed table and holding[w] the
+    number of cells holding w."""
+    pair = np.arange(len(u))
+    uu, vv = u[:, None], v[:, None]
+    # Per cell of the (B, n) lines: +1 for a mismatch and -1 for a cell
+    # holding u or v, so that holding[u] + holding[v] adds only the third
+    # region.
+    acc = np.zeros((len(u), len(cells)), dtype=np.int8)
+    for lines in (cells, cols):
+        for w, w2 in ((u, v), (v, u)):
+            # Row w compares tau(w.b) with tau(w).tau(b) = w2.tau(b): row w2
+            # with entries u and v swapped.  Column w likewise compares
+            # tau(a.w) with tau(a).w2, read from the transposed table.
+            # Both gathers copy, so the writes below leave the table intact.
+            vals = lines[w]
+            at_u, at_v = vals == uu, vals == vv
+            other = lines[w2]
+            other[pair, u], other[pair, v] = other[pair, v], other[pair, u]
+            np.copyto(vals, vv, where=at_u)
+            np.copyto(vals, uu, where=at_v)
+            bad = vals != other
+            held = at_u | at_v
+            if lines is cols:  # the cells in rows u and v are counted above
+                bad[pair, u] = bad[pair, v] = held[pair, u] = held[pair, v] = False
+            acc += bad.view(np.int8)
+            acc -= held.view(np.int8)
+    return holding[u] + holding[v] + acc.sum(axis=1)
 
 
 def estim1_bound(n: int, m: int) -> int:

@@ -1,11 +1,88 @@
 import json
+import random
 
 import pytest
 
 import cayleydist as cd
 from cayleydist.cli import main
 
-from conftest import cyclic
+from conftest import (
+    cyclic,
+    oracle_first_nonassociative,
+    random_permutation,
+    switched_intercalate,
+)
+
+# min-transposition --json output of the exhaustive O(n^4) scan this command
+# used to run, pinned byte for byte apart from runtime_ms.
+MIN_TRANSPOSITION_D5 = """\
+{
+  "command": "min-transposition",
+  "counts": {
+    "transpositions": 45
+  },
+  "params": {
+    "table": "d5.tbl"
+  },
+  "result": {
+    "min_mf": 40
+  },
+  "runtime_ms": 0,
+  "witnesses": {
+    "transposition": {
+      "cycles": "(1 5)",
+      "image": [
+        0,
+        5,
+        2,
+        3,
+        4,
+        1,
+        6,
+        7,
+        8,
+        9
+      ]
+    }
+  }
+}
+"""
+
+MIN_TRANSPOSITION_Z13F = """\
+{
+  "command": "min-transposition",
+  "counts": {
+    "transpositions": 78
+  },
+  "params": {
+    "table": "z13f.tbl"
+  },
+  "result": {
+    "min_mf": 60
+  },
+  "runtime_ms": 0,
+  "witnesses": {
+    "transposition": {
+      "cycles": "(0 1)",
+      "image": [
+        1,
+        0,
+        2,
+        3,
+        4,
+        5,
+        6,
+        7,
+        8,
+        9,
+        10,
+        11,
+        12
+      ]
+    }
+  }
+}
+"""
 
 
 @pytest.fixture
@@ -71,6 +148,37 @@ class TestBasicCommands:
         doc = json.loads(out)
         assert doc["result"]["min_mf"] == 24
         assert doc["counts"]["transpositions"] == 21
+
+    @pytest.mark.parametrize(
+        "name,table,expected",
+        [
+            (
+                "d5.tbl",
+                lambda: cd.make_group(cd.GroupKind.dihedral(5)),
+                MIN_TRANSPOSITION_D5,
+            ),
+            (
+                "z13f.tbl",
+                lambda: cd.transport(cyclic(13), random_permutation(13, random.Random(13))),
+                MIN_TRANSPOSITION_Z13F,
+            ),
+        ],
+    )
+    def test_min_transposition_json_pinned(self, capsys, tmp_path, monkeypatch, name, table, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(table().to_text())
+        code, out, _ = run(capsys, "min-transposition", name, "--json")
+        assert code == 0
+        strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
+        assert strip(out) == strip(expected)
+
+    def test_validate_nonassociative_first_offender(self, capsys, tmp_path):
+        cells = switched_intercalate(10, random.Random(10))
+        path = tmp_path / "switched.tbl"
+        path.write_text(f"{len(cells)}\n" + "\n".join(" ".join(map(str, row)) for row in cells) + "\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {oracle_first_nonassociative(cells)}\n"
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "--p", "13", "--m", "5", "--json")

@@ -13,7 +13,22 @@ from cayleydist.errors import (
     OrderTooLarge,
 )
 
-from conftest import cyclic, dihedral, random_permutation
+from conftest import (
+    cyclic,
+    dihedral,
+    oracle_first_nonassociative,
+    random_permutation,
+    switched_intercalate,
+)
+
+# A quasigroup with identity that is not a group (order 5 loop).
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
 class TestValidateTable:
@@ -45,16 +60,31 @@ class TestValidateTable:
             cd.validate_table([[0, 1], [1, 5]])
 
     def test_latin_nonassociative_is_rejected(self):
-        # A quasigroup with identity that is not a group (order 5 loop).
-        cells = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
         with pytest.raises(NotAssociative):
-            cd.validate_table(cells)
+            cd.validate_table(LOOP5)
+
+    def test_first_offender_of_loop(self):
+        expected = oracle_first_nonassociative(LOOP5)
+        with pytest.raises(NotAssociative) as exc:
+            cd.validate_table(LOOP5)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_first_offender_of_switched_intercalate(self, k):
+        rng = random.Random(k)
+        cells = switched_intercalate(k, rng)
+        # relabelled by a random bijection, the offender moves off a = 1
+        f = random_permutation(2 * k, rng).image
+        relabelled = [[0] * (2 * k) for _ in range(2 * k)]
+        for x, row in enumerate(cells):
+            for y, v in enumerate(row):
+                relabelled[f[x]][f[y]] = f[v]
+        for table in (cells, relabelled):
+            expected = oracle_first_nonassociative(table)
+            assert expected is not None
+            with pytest.raises(NotAssociative) as exc:
+                cd.validate_table(table)
+            assert str(exc.value) == expected
 
     def test_ingested_identity_need_not_be_zero(self):
         z3 = cyclic(3)

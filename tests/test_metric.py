@@ -3,6 +3,7 @@ import random
 import pytest
 
 import cayleydist as cd
+from cayleydist import metric
 from cayleydist.errors import (
     DimensionMismatch,
     HypothesisNotMet,
@@ -12,7 +13,21 @@ from cayleydist.errors import (
     OrderTooSmall,
 )
 
-from conftest import cyclic, dihedral, oracle_dist, oracle_mf, random_permutation
+from conftest import (
+    cyclic,
+    dihedral,
+    oracle_dist,
+    oracle_mf,
+    oracle_min_transposition,
+    random_permutation,
+)
+
+SMALL_KINDS = [kind.label() for n in range(5, 9) for kind in cd.groups_of_order(n)]
+ORACLE_KINDS = (
+    SMALL_KINDS
+    + [f"cyclic:{n}" for n in range(9, 32)]
+    + [f"dihedral:{k}" for k in range(5, 13)]
+)
 
 
 class TestDist:
@@ -160,6 +175,29 @@ class TestMinTransposition:
         with pytest.raises(OrderTooSmall):
             cd.min_transposition_mf(cyclic(4))
 
+    @pytest.mark.parametrize("label", ORACLE_KINDS)
+    def test_matches_oracle_value_and_witness(self, label):
+        base = cd.make_group(cd.GroupKind.parse(label))
+        moved = cd.transport(base, random_permutation(base.n, random.Random(label)))
+        for t in (base, moved):
+            assert cd.min_transposition_mf(t) == oracle_min_transposition(t)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_witness_independent_of_block_size(self, monkeypatch, block):
+        # many pairs tie at the minimum, so a tie broken towards a later
+        # block would change the witness
+        monkeypatch.setattr(metric, "_PAIR_BLOCK", block)
+        for label in ("cyclic:13", "dihedral:7", "q8"):
+            t = cd.make_group(cd.GroupKind.parse(label))
+            assert cd.min_transposition_mf(t) == oracle_min_transposition(t)
+
+    @pytest.mark.parametrize("label", ["cyclic:61", "cyclic:101", "dihedral:50", "dihedral:51"])
+    def test_large_order_equals_delta0(self, label):
+        t = cd.make_group(cd.GroupKind.parse(label))
+        value, witness = cd.min_transposition_mf(t)
+        assert value == cd.delta0(t)
+        assert cd.dist(t, cd.transport(t, witness)).total == value
+
 
 class TestEstimates:
     @pytest.mark.parametrize("n,m,expected", [(11, 3, 33), (13, 4, 52), (31, 3, 154)])
@@ -239,6 +277,18 @@ class TestAnalyticBounds:
         assert dict(rep.bounds)["disjoint_pairs_l3"] == 7 * 11 - 40 == 37
         assert rep.best == 40 < 48  # the row floor wins but stays below 6p-18
         assert not rep.excluded
+
+    def test_four_adjacent_positions_allow_two(self):
+        # _GUARANTEED_L[4] = 3 does not hold: positions 1..4 under h = 1
+        # give l = 2 at every prime, and l = 2 leaves p = 23 at 118 < 120.
+        for p in (11, 13, 17, 19, 23, 29, 31):
+            assert len(cd.max_disjoint_subset(cyclic(p), 1, (1, 2, 3, 4))) == 2
+        assert max(v for v in cd.estim2_bounds(23, 4, 2) if v is not None) == 118
+
+    @pytest.mark.parametrize("p,best", [(29, 170), (31, 186)])
+    def test_m4_excluded_with_two_disjoint(self, p, best):
+        bounds = [4 * (p - 1), *cd.estim2_bounds(p, 4, 2)]
+        assert max(bounds) == best >= 6 * p - 18
 
     def test_best_is_max(self):
         for p in (11, 13, 31, 101):

@@ -16,6 +16,7 @@ from cayleydist.search import (
     _complete_block,
     _pattern_table,
     _phi_distances,
+    _search_m,
     all_group_tables,
 )
 
@@ -142,6 +143,15 @@ class TestPrimeStabilityVerify:
         report = cd.prime_stability_verify(23)
         assert {c.m for c in report.m_cases} == {3}
         assert {b.m for b in report.analytic_exclusions} == {4, 5, 6}
+
+    def test_m4_searched_directly_at_23(self):
+        # The analytic exclusion of m = 4 at p = 23 needs l = 3 disjoint
+        # positions, but adjacent positions allow only 2 (see
+        # TestAnalyticBounds); the search covers the case instead.
+        case = _search_m(23, 4, list(range(1, 23)))
+        assert case.candidates_enumerated == 22 * math.comb(22, 4) == 160930
+        assert case.candidates_completing == 160930
+        assert case.min_distance == 120 == 6 * 23 - 18
 
     def test_determinism_across_runs(self):
         a = cd.prime_stability_verify(13)
