@@ -12,7 +12,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -186,6 +186,25 @@ class GroupTable:
     cells: tuple[tuple[int, ...], ...]
     identity: int
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The cells as a read-only (n, n) np.intp array, built on first use.
+
+        It is not a field, so equality and hashing stay on (n, cells,
+        identity).
+        """
+        arr = np.array(self.cells, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
+
+    @classmethod
+    def _from_array(cls, arr: np.ndarray, identity: int) -> "GroupTable":
+        """The table holding arr, with arr (made read-only) as its array."""
+        t = cls(n=len(arr), cells=tuple(map(tuple, arr.tolist())), identity=identity)
+        arr.setflags(write=False)
+        t.__dict__["array"] = arr
+        return t
+
     def mul(self, a: int, b: int) -> int:
         return self.cells[a][b]
 
@@ -198,6 +217,9 @@ class GroupTable:
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != self.identity:
+            # In a group the walk returns to the identity within n steps.
+            if k >= self.n:
+                raise InputError(f"element {g} does not reach the identity in {self.n} steps")
             x = self.cells[x][g]
             k += 1
         return k
@@ -244,47 +266,56 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     """Check the Latin property, a unique two-sided identity, associativity.
 
     Raises NotLatin / NoIdentity / NotAssociative naming the first offender.
+    Each pass runs on the whole array; Python walks only the offending row
+    or column, to name the offender as a row-major scan would.
     """
     n = len(cells)
     if n == 0:
         raise InputError("empty table")
-    grid = tuple(tuple(int(v) for v in row) for row in cells)
-    for a, row in enumerate(grid):
-        if len(row) != n:
-            raise InputError(f"row {a} has {len(row)} entries, expected {n}")
-        for b, v in enumerate(row):
-            if not 0 <= v < n:
-                raise InputError(f"cell ({a},{b}) = {v} outside 0..{n - 1}")
-    for a, row in enumerate(grid):
-        seen = [-1] * n
-        for b, v in enumerate(row):
-            if seen[v] >= 0:
-                raise NotLatin(f"row {a} repeats value {v} at columns {seen[v]} and {b}")
-            seen[v] = b
-    for b in range(n):
-        seen = [-1] * n
-        for a in range(n):
-            v = grid[a][b]
-            if seen[v] >= 0:
-                raise NotLatin(f"column {b} repeats value {v} at rows {seen[v]} and {a}")
-            seen[v] = a
-    ident = tuple(range(n))
-    e = None
-    for a in range(n):
-        if grid[a] == ident and all(grid[b][a] == b for b in range(n)):
-            e = a
-            break
-    if e is None:
+    ragged = next((a for a, row in enumerate(cells) if len(row) != n), n)
+    # The range pass covers the rows before a ragged one, as a row-by-row
+    # scan would reach them first.
+    arr = _cell_array(cells[:ragged], n)
+    out_of_range = (arr < 0) | (arr >= n)
+    if out_of_range.any():
+        a, b = divmod(int(np.argmax(out_of_range)), n)
+        raise InputError(f"cell ({a},{b}) = {arr[a, b]} outside 0..{n - 1}")
+    if ragged < n:
+        raise InputError(f"row {ragged} has {len(cells[ragged])} entries, expected {n}")
+    # A line is Latin iff each value occurs once in it: count (line, value).
+    line = np.arange(n)
+    for lines, name, other in ((arr, "row", "columns"), (arr.T, "column", "rows")):
+        counts = np.bincount((line[:, None] * n + lines).ravel(), minlength=n * n)
+        if (counts != 1).any():
+            a = int(np.argmax((counts != 1).reshape(n, n).any(axis=1)))
+            seen: dict[int, int] = {}
+            for b, v in enumerate(lines[a].tolist()):
+                if v in seen:
+                    raise NotLatin(f"{name} {a} repeats value {v} at {other} {seen[v]} and {b}")
+                seen[v] = b
+    # The first a whose row and column both read 0..n-1.
+    is_identity = (arr == line).all(axis=1) & (arr.T == line).all(axis=1)
+    if not is_identity.any():
         raise NoIdentity("no two-sided identity element")
+    e = int(np.argmax(is_identity))
     # One (n, n) slab per a: [b, c] holds (ab)c against a(bc).  The first
     # True of a row-major slab is the lexicographically first offender.
-    arr = np.asarray(grid, dtype=np.intp)
     for a in range(n):
         bad = arr[arr[a]] != arr[a][arr]
         if bad.any():
             b, c = divmod(int(np.argmax(bad)), n)
             raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
-    return GroupTable(n=n, cells=grid, identity=e)
+    return GroupTable._from_array(arr, identity=e)
+
+
+def _cell_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """rows as an (len(rows), n) np.intp array."""
+    try:
+        return np.array(rows, dtype=np.intp).reshape(-1, n)
+    except OverflowError:
+        # Some value does not fit np.intp; Python ints keep it exact for
+        # the range pass, which then names it.
+        return np.array([[int(v) for v in row] for row in rows], dtype=object).reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -421,12 +452,12 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
     """The table with a * b = f(f^-1(a) . f^-1(b)); f becomes an isomorphism."""
     if f.n != t.n:
         raise DimensionMismatch(f"table order {t.n} vs permutation size {f.n}")
-    finv = f.inverse().image
-    img = f.image
-    cells = tuple(
-        tuple(img[t.cells[finv[a]][finv[b]]] for b in range(t.n)) for a in range(t.n)
-    )
-    return GroupTable(n=t.n, cells=cells, identity=img[t.identity])
+    img = np.asarray(f.image, dtype=np.intp)
+    finv = np.empty_like(img)
+    finv[img] = np.arange(t.n)
+    # t.array[finv[:, None], finv], built faster by two takes.
+    arr = img[t.array.take(finv, 0).take(finv, 1)]
+    return GroupTable._from_array(arr, identity=f.image[t.identity])
 
 
 def power(t: GroupTable, g: int, k: int) -> int:

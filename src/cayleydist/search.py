@@ -370,7 +370,7 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     labels: list[int] = []
     rows_idx = np.arange(len(perms))[:, None, None]
     for label, kind in enumerate(kinds):
-        cells = np.asarray(make_group(kind).cells, dtype=np.int64)
+        cells = make_group(kind).array
         inner = cells[pinv[:, :, None], pinv[:, None, :]]
         transported = perms[rows_idx, inner].astype(np.uint8)
         for t in transported:
@@ -392,10 +392,6 @@ def distinct_table_counts(n: int) -> dict[str, int]:
         kind.label(): int(np.count_nonzero(labels == i))
         for i, kind in enumerate(kinds)
     }
-
-
-def _table_from_array(arr: np.ndarray) -> GroupTable:
-    return validate_table([[int(v) for v in row] for row in arr])
 
 
 def _check_brute_order(n: int, allow_slow: bool) -> None:
@@ -430,7 +426,7 @@ def kind_stability(
         base_label = [k.label() for k in kinds].index(kind.label())
     except ValueError:
         raise InputError(f"{kind} is not a group of order {n} in the catalog")
-    base = np.asarray(make_group(kind).cells, dtype=np.uint8)
+    base = make_group(kind).array.astype(np.uint8)
     flat = tables.reshape(len(tables), -1)
     diffs = np.count_nonzero(flat != base.reshape(-1), axis=1)
     if scope == "mu":
@@ -444,7 +440,7 @@ def kind_stability(
     masked = np.where(mask, diffs, n * n + 1)
     j = int(np.argmin(masked))
     value = int(diffs[j])
-    return value, (_table_from_array(base), _table_from_array(tables[j]))
+    return value, (validate_table(base), validate_table(tables[j]))
 
 
 def brute_delta(
@@ -496,6 +492,6 @@ def brute_delta(
     if best_val is None or best_pair is None:
         raise InputError(f"no pair satisfies scope {scope!r} at order {n}")
     return best_val, (
-        _table_from_array(tables[best_pair[0]]),
-        _table_from_array(tables[best_pair[1]]),
+        validate_table(tables[best_pair[0]]),
+        validate_table(tables[best_pair[1]]),
     )

@@ -3,6 +3,8 @@ import random
 import pytest
 
 import cayleydist as cd
+from cayleydist.errors import InputError, NoIdentity, NotLatin
+from cayleydist.metric import LemmaViolation
 
 
 def cyclic(n: int) -> cd.GroupTable:
@@ -93,3 +95,85 @@ def switched_intercalate(k: int, rng: random.Random) -> list[list[int]]:
     for x in (a, a + k):
         cells[x][b], cells[x][b + k] = cells[x][b + k], cells[x][b]
     return cells
+
+
+def oracle_transport(t: cd.GroupTable, f: cd.Permutation) -> cd.GroupTable:
+    """The table with a * b = f(f^-1(a) . f^-1(b)), cell by cell."""
+    finv = f.inverse().image
+    img = f.image
+    cells = tuple(
+        tuple(img[t.cells[finv[a]][finv[b]]] for b in range(t.n)) for a in range(t.n)
+    )
+    return cd.GroupTable(n=t.n, cells=cells, identity=img[t.identity])
+
+
+def oracle_check_lemmas(a: cd.GroupTable, b: cd.GroupTable) -> list:
+    """check_lemmas as a scan over the rows and then the cells (a, b)."""
+    n = a.n
+    row = [oracle_row_dist(a, b, g) for g in range(n)]
+    total = sum(row)
+    out = []
+    for g, d in enumerate(row):
+        if d == 1:
+            out.append(LemmaViolation("row_distance_one", {"g": g}))
+        if d == 2 and n % 2 == 1:
+            out.append(LemmaViolation("row_distance_two", {"g": g}))
+    for x in range(n):
+        if row[x] == 0:
+            continue
+        arow, brow = a.cells[x], b.cells[x]
+        for y in range(n):
+            if arow[y] != brow[y]:
+                s = row[x] + row[y] + row[arow[y]]
+                if s < n:
+                    out.append(
+                        LemmaViolation(
+                            "row_triple_sum",
+                            {"a": x, "b": y, "ab": arow[y], "sum": s},
+                        )
+                    )
+    if n > 7 and total <= 6 * n - 18 and a.identity != b.identity:
+        isomorphic = False
+        if cd.is_prime(n):
+            isomorphic = True
+        elif n <= 8:
+            isomorphic = cd.are_isomorphic(a, b)[0]
+        if isomorphic:
+            out.append(
+                LemmaViolation(
+                    "identity_mismatch",
+                    {"identity_a": a.identity, "identity_b": b.identity, "total": total},
+                )
+            )
+    return out
+
+
+def oracle_first_invalid(cells) -> tuple[type, str] | None:
+    """The error class and message for the first range, Latin or identity
+    offender of a row-by-row scan, or None if the table passes them all."""
+    n = len(cells)
+    for a, row in enumerate(cells):
+        if len(row) != n:
+            return InputError, f"row {a} has {len(row)} entries, expected {n}"
+        for b, v in enumerate(row):
+            if not 0 <= v < n:
+                return InputError, f"cell ({a},{b}) = {v} outside 0..{n - 1}"
+    for a, row in enumerate(cells):
+        seen = [-1] * n
+        for b, v in enumerate(row):
+            if seen[v] >= 0:
+                return NotLatin, f"row {a} repeats value {v} at columns {seen[v]} and {b}"
+            seen[v] = b
+    for b in range(n):
+        seen = [-1] * n
+        for a in range(n):
+            v = cells[a][b]
+            if seen[v] >= 0:
+                return NotLatin, f"column {b} repeats value {v} at rows {seen[v]} and {a}"
+            seen[v] = a
+    ident = list(range(n))
+    if not any(
+        list(cells[a]) == ident and all(cells[b][a] == b for b in range(n)) for a in range(n)
+    ):
+        return NoIdentity, "no two-sided identity element"
+    return None

@@ -84,6 +84,157 @@ MIN_TRANSPOSITION_Z13F = """\
 }
 """
 
+# Output of the dist, mf, check-lemmas, reconstruct and transport commands
+# when they ran cell-by-cell loops, pinned byte for byte apart from
+# runtime_ms.  z13f is Z_13 transported by the permutation Random(13)
+# draws, d5f is D_5 transported by the one Random(5) draws, and z13t is
+# Z_13 transported by the transposition of two elements Random(13) samples.
+DIST_Z13F = """\
+{
+  "command": "dist",
+  "counts": {},
+  "params": {
+    "table_a": "z13.tbl",
+    "table_b": "z13f.tbl"
+  },
+  "result": {
+    "agreement": [],
+    "m": null,
+    "row": [
+      13,
+      12,
+      11,
+      12,
+      12,
+      13,
+      12,
+      11,
+      13,
+      11,
+      12,
+      11,
+      12
+    ],
+    "total": 155
+  },
+  "runtime_ms": 0,
+  "witnesses": {}
+}
+"""
+
+MF_D5 = """\
+{
+  "command": "mf",
+  "counts": {},
+  "params": {
+    "perm": [
+      2,
+      3,
+      1,
+      0,
+      8,
+      7,
+      6,
+      5,
+      4,
+      9
+    ],
+    "table": "d5.tbl"
+  },
+  "result": {
+    "mf": 93
+  },
+  "runtime_ms": 0,
+  "witnesses": {
+    "perm": {
+      "cycles": "(0 2 1 3)(4 8)(5 7)",
+      "image": [
+        2,
+        3,
+        1,
+        0,
+        8,
+        7,
+        6,
+        5,
+        4,
+        9
+      ]
+    }
+  }
+}
+"""
+
+CHECK_LEMMAS_D5F = """\
+{
+  "command": "check-lemmas",
+  "counts": {
+    "violations": 0
+  },
+  "params": {
+    "table_a": "d5.tbl",
+    "table_b": "d5f.tbl"
+  },
+  "result": {
+    "violations": []
+  },
+  "runtime_ms": 0,
+  "witnesses": {}
+}
+"""
+
+RECONSTRUCT_Z13T = """\
+{
+  "command": "reconstruct",
+  "counts": {},
+  "params": {
+    "table_a": "z13.tbl",
+    "table_b": "z13t.tbl"
+  },
+  "result": {
+    "found": true
+  },
+  "runtime_ms": 0,
+  "witnesses": {
+    "isomorphism": {
+      "cycles": "(4 12)",
+      "image": [
+        0,
+        1,
+        2,
+        3,
+        12,
+        5,
+        6,
+        7,
+        8,
+        9,
+        10,
+        11,
+        4
+      ]
+    }
+  }
+}
+"""
+
+TRANSPORT_Z13F = """\
+13
+5 9 12 10 7 6 3 11 0 2 4 1 8
+9 10 7 8 5 2 12 6 1 4 0 3 11
+12 7 1 5 3 8 0 10 2 11 6 4 9
+10 8 5 11 9 4 7 2 3 0 1 12 6
+7 5 3 9 12 11 1 8 4 6 2 0 10
+6 2 8 4 11 3 10 1 5 12 7 9 0
+3 12 0 7 1 10 4 9 6 8 11 2 5
+11 6 10 2 8 1 9 0 7 3 12 5 4
+0 1 2 3 4 5 6 7 8 9 10 11 12
+2 4 11 0 6 12 8 3 9 7 5 10 1
+4 0 6 1 2 7 11 12 10 5 9 8 3
+1 3 4 12 0 9 2 5 11 10 8 6 7
+8 11 9 6 10 0 5 4 12 1 3 7 2
+"""
+
 
 @pytest.fixture
 def z7_file(tmp_path):
@@ -171,6 +322,36 @@ class TestBasicCommands:
         assert code == 0
         strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
         assert strip(out) == strip(expected)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["dist", "z13.tbl", "z13f.tbl", "--profile", "--json"], DIST_Z13F),
+            (["mf", "d5.tbl", "--perm", "2 3 1 0 8 7 6 5 4 9", "--json"], MF_D5),
+            (["check-lemmas", "d5.tbl", "d5f.tbl", "--json"], CHECK_LEMMAS_D5F),
+            (["reconstruct", "z13.tbl", "z13t.tbl", "--json"], RECONSTRUCT_Z13T),
+            (["transport", "z13.tbl", "--perm", "8 7 0 11 5 1 6 9 3 2 10 12 4"], TRANSPORT_Z13F),
+        ],
+        ids=["dist", "mf", "check-lemmas", "reconstruct", "transport"],
+    )
+    def test_pair_commands_pinned(self, capsys, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        z13, d5 = cyclic(13), cd.make_group(cd.GroupKind.dihedral(5))
+        u, v = random.Random(13).sample(range(13), 2)
+        tables = {
+            "z13.tbl": z13,
+            "z13f.tbl": cd.transport(z13, random_permutation(13, random.Random(13))),
+            "z13t.tbl": cd.transport(z13, cd.Permutation.transposition(13, u, v)),
+            "d5.tbl": d5,
+            "d5f.tbl": cd.transport(d5, random_permutation(10, random.Random(5))),
+        }
+        for name, table in tables.items():
+            (tmp_path / name).write_text(table.to_text())
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
+        assert strip(out) == strip(expected)
+        assert out.endswith("\n")
 
     def test_validate_nonassociative_first_offender(self, capsys, tmp_path):
         cells = switched_intercalate(10, random.Random(10))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import cayleydist as cd
@@ -16,6 +17,7 @@ from cayleydist.errors import (
 from conftest import (
     cyclic,
     dihedral,
+    oracle_first_invalid,
     oracle_first_nonassociative,
     random_permutation,
     switched_intercalate,
@@ -86,11 +88,88 @@ class TestValidateTable:
                 cd.validate_table(table)
             assert str(exc.value) == expected
 
+    @pytest.mark.parametrize("kind", ["range", "row", "column", "identity", "ragged"])
+    def test_first_offender_matches_row_scan(self, kind):
+        rng = random.Random(kind)
+        raised = set()
+        for _ in range(150):
+            cells = _broken_table(kind, rng)
+            expected = oracle_first_invalid(cells)
+            if expected is None:  # the breakage kept a Latin table with an identity
+                try:
+                    cd.validate_table(cells)
+                except NotAssociative:
+                    pass
+                continue
+            with pytest.raises(InputError) as exc:
+                cd.validate_table(cells)
+            assert (type(exc.value), str(exc.value)) == expected
+            raised.add(str(exc.value).split(" ")[0])
+        # the error each kind of breakage is built for comes up
+        first_word = {"range": "cell", "row": "row", "column": "column", "identity": "no", "ragged": "row"}
+        assert first_word[kind] in raised
+
     def test_ingested_identity_need_not_be_zero(self):
         z3 = cyclic(3)
         moved = cd.transport(z3, cd.Permutation((1, 0, 2)))
         again = cd.validate_table([list(r) for r in moved.cells])
         assert again.identity == 1
+
+
+def _broken_table(kind: str, rng: random.Random) -> list[list[int]]:
+    """A relabelled cyclic or dihedral table broken in one way."""
+    k = rng.randrange(2, 7)
+    base = cd.make_group(rng.choice([cd.GroupKind.cyclic(2 * k), cd.GroupKind.dihedral(k), cd.GroupKind.cyclic(k)]))
+    cells = [list(row) for row in cd.transport(base, random_permutation(base.n, rng)).cells]
+    n = len(cells)
+    a, b = rng.randrange(n), rng.randrange(n)
+    if kind == "range":
+        cells[a][b] = rng.choice([n, n + 3, -1, 10**30])
+    elif kind == "row":  # breaks a row and a column, unless the value is kept
+        cells[a][b] = rng.randrange(n)
+    elif kind == "column":  # rows stay permutations
+        c = rng.randrange(n)
+        cells[a][b], cells[a][c] = cells[a][c], cells[a][b]
+    elif kind == "identity":  # rows and columns stay Latin
+        rng.shuffle(cells)
+    elif kind == "ragged":  # a short row, maybe after an out-of-range cell
+        del cells[a][b]
+        if rng.random() < 0.5:
+            cells[rng.randrange(n)][-1] = n
+    return cells
+
+
+class TestGroupTableArray:
+    def test_equals_cells(self):
+        for label in ("cyclic:7", "dihedral:5", "q8", "cyclic:4*cyclic:2"):
+            t = cd.make_group(cd.GroupKind.parse(label))
+            assert t.array.dtype == np.intp and t.array.shape == (t.n, t.n)
+            assert np.array_equal(t.array, np.array(t.cells))
+
+    def test_read_only(self, z5):
+        with pytest.raises(ValueError):
+            z5.array[0, 0] = 1
+        moved = cd.transport(z5, cd.Permutation.transposition(5, 1, 2))
+        with pytest.raises(ValueError):
+            moved.array[1] = 0
+
+    def test_not_part_of_equality_or_hash(self):
+        built, bare = cyclic(9), cyclic(9)
+        built.array
+        assert "array" in vars(built) and "array" not in vars(bare)
+        assert built == bare and hash(built) == hash(bare)
+        assert {built: 1}[bare] == 1
+
+    def test_set_by_validate_table_and_transport(self):
+        rng = random.Random(5)
+        for t in (cyclic(7), dihedral(4)):
+            moved = cd.transport(t, random_permutation(t.n, rng))
+            again = cd.validate_table([list(r) for r in moved.cells])
+            for out in (moved, again):
+                assert "array" in vars(out)
+                assert not out.array.flags.writeable
+                assert np.array_equal(out.array, np.array(out.cells))
+                assert all(type(v) is int for row in out.cells for v in row)
 
 
 class TestMakeGroup:
@@ -299,6 +378,15 @@ class TestTableIO:
     def test_non_integer(self):
         with pytest.raises(InputError):
             cd.GroupTable.from_text("2\n0 1\n1 x\n")
+
+
+def test_element_order_of_a_non_group_is_bounded():
+    t = cd.GroupTable(2, ((0, 0), (0, 1)), 1)
+    assert t.element_order(1) == 1
+    with pytest.raises(InputError, match="element 0 does not reach the identity"):
+        t.element_order(0)
+    with pytest.raises(InputError):
+        t.order_profile()
 
 
 def test_generating_sequence_spans():

@@ -16,9 +16,12 @@ from cayleydist.errors import (
 from conftest import (
     cyclic,
     dihedral,
+    oracle_check_lemmas,
     oracle_dist,
     oracle_mf,
     oracle_min_transposition,
+    oracle_row_dist,
+    oracle_transport,
     random_permutation,
 )
 
@@ -88,8 +91,12 @@ class TestHomDistance:
             )
 
     def test_image_out_of_range(self, z5):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^map image 7 outside 0\.\.4$"):
             cd.hom_distance([0, 1, 2, 3, 7], z5, z5)
+        with pytest.raises(InputError, match=r"^map image -1 outside 0\.\.4$"):
+            cd.hom_distance([0, -1, 2, 9, 1], z5, z5)
+        with pytest.raises(DimensionMismatch):
+            cd.hom_distance([0, 1, 2, 3], z5, z5)
 
 
 class TestDelta0:
@@ -336,6 +343,92 @@ class TestCheckLemmas:
                 assert t.identity in H
                 assert all(t.cells[x][y] in H for x in H for y in H)
                 assert all(t.inverse(x) in H for x in H)
+
+
+PAIR_KINDS = ("cyclic:9", "dihedral:5", "cyclic:11", "cyclic:13")
+
+
+def _seeded_maps(t: cd.GroupTable, rng: random.Random, count: int):
+    """Random permutations of t's elements, alternating with a random
+    transposition or 3-cycle, as the pair checks draw them."""
+    for i in range(count):
+        if i % 2:
+            yield random_permutation(t.n, rng)
+        else:
+            yield cd.Permutation.from_cycles(t.n, [rng.sample(range(t.n), rng.choice((2, 3)))])
+
+
+def _perturbed_pair(n: int, rng: random.Random) -> tuple[cd.GroupTable, cd.GroupTable]:
+    """A random table (not a group) and a copy with a few cells changed,
+    so row distances 1 and 2 and small triple sums are common."""
+    cells = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    other = [row[:] for row in cells]
+    for _ in range(rng.randrange(1, 2 * n)):
+        other[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    e = rng.randrange(n)
+    f = e if rng.random() < 0.5 else rng.randrange(n)
+    return (
+        cd.GroupTable(n, tuple(map(tuple, cells)), e),
+        cd.GroupTable(n, tuple(map(tuple, other)), f),
+    )
+
+
+class TestKernelsAgainstOracles:
+    """transport, dist, hom_distance and check_lemmas against the
+    cell-by-cell oracles of conftest."""
+
+    @pytest.mark.parametrize("label", PAIR_KINDS)
+    def test_seeded_transports(self, label):
+        t = cd.make_group(cd.GroupKind.parse(label))
+        rng = random.Random(label)
+        for f in _seeded_maps(t, rng, 60):
+            moved = cd.transport(t, f)
+            expected = oracle_transport(t, f)
+            assert moved == expected and moved.identity == expected.identity
+            prof = cd.dist(t, moved)
+            assert prof.row == tuple(oracle_row_dist(t, moved, g) for g in range(t.n))
+            assert prof.total == oracle_dist(t, moved)
+            assert cd.hom_distance(f, t, t) == oracle_mf(f, t, t) == prof.total
+            assert cd.hom_distance(f, t, moved) == 0
+            assert cd.check_lemmas(t, moved) == oracle_check_lemmas(t, moved) == []
+
+    @pytest.mark.parametrize(
+        "source,target",
+        [("cyclic:9", "cyclic:3"), ("cyclic:13", "dihedral:5"), ("dihedral:5", "cyclic:9"), ("cyclic:11", "cyclic:11")],
+    )
+    def test_non_bijective_maps(self, source, target):
+        h = cd.make_group(cd.GroupKind.parse(source))
+        k = cd.make_group(cd.GroupKind.parse(target))
+        rng = random.Random(source + target)
+        for _ in range(50):
+            img = [rng.randrange(k.n) for _ in range(h.n)]
+            assert cd.hom_distance(img, h, k) == oracle_mf(img, h, k)
+            assert cd.hom_distance(tuple(img), h, k) == oracle_mf(img, h, k)
+        if source == "cyclic:9":  # reduction mod 3 is a homomorphism
+            assert cd.hom_distance([a % 3 for a in range(9)], h, k) == 0
+
+    def test_non_group_pairs_with_many_violations(self):
+        rng = random.Random(2024)
+        seen = set()
+        for n in (5, 6, 7, 9, 10, 11, 13):
+            for _ in range(60):
+                a, b = _perturbed_pair(n, rng)
+                violations = cd.check_lemmas(a, b)
+                assert violations == oracle_check_lemmas(a, b)
+                seen.update(v.name for v in violations)
+                prof = cd.dist(a, b)
+                assert prof.row == tuple(oracle_row_dist(a, b, g) for g in range(n))
+                f = random_permutation(n, rng)
+                assert cd.transport(a, f) == oracle_transport(a, f)
+                assert cd.hom_distance(f, a, b) == oracle_mf(f, a, b)
+        assert seen == {"row_distance_one", "row_distance_two", "row_triple_sum", "identity_mismatch"}
+
+    def test_check_lemmas_at_eight_rejects_a_non_group(self):
+        # are_isomorphic walks element orders, which never reach the identity here
+        a = cd.GroupTable(8, ((0,) * 8,) * 8, 1)
+        b = cd.GroupTable(8, ((0,) * 8,) * 8, 2)
+        with pytest.raises(InputError):
+            cd.check_lemmas(a, b)
 
 
 def test_estim2_monotone_in_m():
