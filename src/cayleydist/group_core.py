@@ -12,8 +12,8 @@ import itertools
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Optional, Sequence
+from functools import cached_property, partial, reduce
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -318,6 +318,43 @@ def _cell_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
         return np.array([[int(v) for v in row] for row in rows], dtype=object).reshape(-1, n)
 
 
+def _dihedral_mul(k: int, a: int, b: int) -> int:
+    # 0..k-1 are rotations r^i, k..2k-1 are reflections r^i s.
+    ai, ar = a % k, a >= k
+    bi, br = b % k, b >= k
+    ci = (ai - bi) % k if ar else (ai + bi) % k
+    return ci + (k if ar != br else 0)
+
+
+def _quaternion8_mul(_: int, a: int, b: int) -> int:
+    # index = i + 4j for a^i b^j with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1.
+    i, j = a % 4, a // 4
+    k2, l = b % 4, b // 4
+    exp = (i + (-k2 if j else k2) + (2 if j and l else 0)) % 4
+    return exp + 4 * ((j + l) % 2)
+
+
+# family -> (label token, order from param, mul(param, a, b)); identity 0.
+# Each family is named after its GroupKind constructor, and a token without
+# "{}" names a family that takes no param.  direct_product, built from its
+# factors, is the one family outside the table.
+_Family = tuple[str, Callable[[int], int], Callable[[int, int, int], int]]
+_FAMILIES: dict[str, _Family] = {
+    "cyclic": ("cyclic:{}", lambda n: n, lambda n, a, b: (a + b) % n),
+    "dihedral": ("dihedral:{}", lambda k: 2 * k, _dihedral_mul),
+    "elementary_abelian": ("e2:{}", lambda k: 2**k, lambda _, a, b: a ^ b),
+    "quaternion8": ("q8", lambda _: 8, _quaternion8_mul),
+}
+_FAMILY_OF_TOKEN = {token: family for family, (token, _, _) in _FAMILIES.items()}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise InputError(f"unknown family {name!r}") from None
+
+
 @dataclass(frozen=True)
 class GroupKind:
     """Catalog tag for the group families used by the small-order tests."""
@@ -354,28 +391,14 @@ class GroupKind:
 
     @property
     def order(self) -> int:
-        if self.family == "cyclic":
-            return self.param
-        if self.family == "dihedral":
-            return 2 * self.param
-        if self.family == "elementary_abelian":
-            return 2 ** self.param
-        if self.family == "quaternion8":
-            return 8
         if self.family == "direct_product":
             return self.factors[0].order * self.factors[1].order
-        raise InputError(f"unknown family {self.family!r}")
+        return _family(self.family)[1](self.param)
 
     def label(self) -> str:
-        if self.family == "cyclic":
-            return f"cyclic:{self.param}"
-        if self.family == "dihedral":
-            return f"dihedral:{self.param}"
-        if self.family == "elementary_abelian":
-            return f"e2:{self.param}"
-        if self.family == "quaternion8":
-            return "q8"
-        return "*".join(f.label() for f in self.factors)
+        if self.family == "direct_product":
+            return "*".join(f.label() for f in self.factors)
+        return _family(self.family)[0].format(self.param)
 
     def __str__(self) -> str:
         return self.label()
@@ -388,64 +411,28 @@ class GroupKind:
 
     @classmethod
     def _parse_atom(cls, text: str) -> "GroupKind":
-        if text == "q8":
-            return cls.quaternion8()
-        m = re.fullmatch(r"(cyclic|dihedral|e2):(\d+)", text)
-        if not m:
+        m = re.fullmatch(r"([^:]*)(:(\d+))?", text)
+        family = m and _FAMILY_OF_TOKEN.get(m[1] + (":{}" if m[2] else ""))
+        if not family:
             raise InputError(f"unknown group kind {text!r} (want cyclic:N, dihedral:K, e2:K, q8)")
-        k = int(m.group(2))
-        if m.group(1) == "cyclic":
-            return cls.cyclic(k)
-        if m.group(1) == "dihedral":
-            return cls.dihedral(k)
-        return cls.elementary_abelian(k)
+        make = getattr(cls, family)
+        return make(int(m[3])) if m[2] else make()
 
 
 def make_group(kind: GroupKind) -> GroupTable:
     """Canonical table for a catalog kind; identity is always element 0."""
-    if kind.family == "cyclic":
-        n = kind.param
-        cells = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-        return GroupTable(n=n, cells=cells, identity=0)
-    if kind.family == "dihedral":
-        # 0..k-1 are rotations r^i, k..2k-1 are reflections r^i s.
-        k = kind.param
-        n = 2 * k
-
-        def mul(a: int, b: int) -> int:
-            ai, ar = a % k, a >= k
-            bi, br = b % k, b >= k
-            ci = (ai - bi) % k if ar else (ai + bi) % k
-            return ci + (k if ar != br else 0)
-
-        cells = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-        return GroupTable(n=n, cells=cells, identity=0)
-    if kind.family == "elementary_abelian":
-        n = 2 ** kind.param
-        cells = tuple(tuple(a ^ b for b in range(n)) for a in range(n))
-        return GroupTable(n=n, cells=cells, identity=0)
-    if kind.family == "quaternion8":
-        # index = i + 4j for a^i b^j with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1.
-        def mul(a: int, b: int) -> int:
-            i, j = a % 4, a // 4
-            k2, l = b % 4, b // 4
-            exp = (i + (-k2 if j else k2) + (2 if j and l else 0)) % 4
-            return exp + 4 * ((j + l) % 2)
-
-        cells = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-        return GroupTable(n=8, cells=cells, identity=0)
     if kind.family == "direct_product":
-        t1 = make_group(kind.factors[0])
-        t2 = make_group(kind.factors[1])
-        n1, n2 = t1.n, t2.n
-        n = n1 * n2
+        t1, t2 = (make_group(f) for f in kind.factors)
+        n2 = t2.n
 
         def mul(a: int, b: int) -> int:
             return t1.cells[a // n2][b // n2] * n2 + t2.cells[a % n2][b % n2]
 
-        cells = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-        return GroupTable(n=n, cells=cells, identity=0)
-    raise InputError(f"unknown family {kind.family!r}")
+    else:
+        mul = partial(_family(kind.family)[2], kind.param)
+    n = kind.order
+    cells = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    return GroupTable(n=n, cells=cells, identity=0)
 
 
 def transport(t: GroupTable, f: Permutation) -> GroupTable:

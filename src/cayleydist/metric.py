@@ -28,6 +28,7 @@ from .errors import (
 from .group_core import (
     GroupTable,
     Permutation,
+    are_isomorphic,
     is_dihedral_twice_odd,
     is_prime,
 )
@@ -287,9 +288,13 @@ class BoundReport:
         }
 
 
-# Guaranteed size of a disjoint subset Y per minimum row distance m, as used
-# by the exclusion arithmetic: the power-position argument yields 3 disjoint
-# elements once m >= 4 (generic case) and 2 for m = 3.
+# Size of a disjoint subset Y per minimum row distance m, as used by the
+# exclusion arithmetic: 2 for m = 3, and 3 asserted for m >= 4.  The value 3
+# does not hold: max_disjoint_subset(Z_p, 1, (1, 2, 3, 4)) is 2 at every p,
+# and with l = 2 the best bound at p = 23, m = 4 is 118 < 120 = 6p - 18.
+# So m = 4 at p = 23 rests on test_m4_searched_directly_at_23 (the full
+# search finds minimum 120), and at p = 29 and 31 on the l = 2 bounds
+# (test_m4_excluded_with_two_disjoint), not on this constant.
 _GUARANTEED_L = {3: 2, 4: 3}
 
 
@@ -361,8 +366,6 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
         if is_prime(n):
             isomorphic = True
         elif n <= 8:
-            from .group_core import are_isomorphic
-
             isomorphic = are_isomorphic(a, b)[0]
         if isomorphic:
             out.append(

@@ -394,7 +394,12 @@ def distinct_table_counts(n: int) -> dict[str, int]:
     }
 
 
-def _check_brute_order(n: int, allow_slow: bool) -> None:
+def _scope(n: int, scope: str, allow_slow: bool) -> str:
+    """scope with its alias resolved (all / mu / nu), once the oracle is
+    known to run it at order n."""
+    resolved = SCOPE_ALIASES.get(scope)
+    if resolved is None:
+        raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
     cap = min(brute_order_cap(), 8)
     if n < 2:
         raise InputError(f"stability needs at least two tables; order {n} has one")
@@ -402,6 +407,9 @@ def _check_brute_order(n: int, allow_slow: bool) -> None:
         raise OrderTooLarge(f"brute force capped at order {cap}, got {n}")
     if n == 8 and not allow_slow:
         raise OrderTooLarge("order 8 enumerates ~200k transports; pass allow_slow")
+    if resolved == "nu" and is_prime(n):
+        raise NuUndefinedForPrime(f"only one isomorphism class at prime order {n}")
+    return resolved
 
 
 def kind_stability(
@@ -412,18 +420,15 @@ def kind_stability(
 
     Valid for the per-group stability values: distance is invariant under
     transporting both tables by the same permutation, so minimizing with
-    the canonical representative fixed loses nothing.
+    the canonical representative fixed loses nothing.  The witness is the
+    canonical table and the first table, in all_group_tables order, at
+    the minimum.
     """
-    scope = SCOPE_ALIASES.get(scope)
-    if scope is None:
-        raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
     n = kind.order
-    _check_brute_order(n, allow_slow)
-    if scope == "nu" and is_prime(n):
-        raise NuUndefinedForPrime(f"only one isomorphism class at prime order {n}")
+    scope = _scope(n, scope, allow_slow)
     tables, labels, kinds = all_group_tables(n)
     try:
-        base_label = [k.label() for k in kinds].index(kind.label())
+        base_label = kinds.index(kind)
     except ValueError:
         raise InputError(f"{kind} is not a group of order {n} in the catalog")
     base = make_group(kind).array.astype(np.uint8)
@@ -448,50 +453,15 @@ def brute_delta(
 ) -> tuple[int, tuple[GroupTable, GroupTable]]:
     """Exact minimum distance over all pairs of distinct group tables on
     {0..n-1}, restricted by scope: all pairs, isomorphic-only (mu), or
-    non-isomorphic-only (nu).  Returns the lexicographically first
-    minimizing pair as witness.
+    non-isomorphic-only (nu).
+
+    Every pair is a transport of a pair whose first table is canonical,
+    and distance is invariant under transport, so this is the minimum of
+    kind_stability over the kinds of order n.  The witness is that of the
+    first kind, in groups_of_order order, to reach the minimum.
     """
-    scope = SCOPE_ALIASES.get(scope)
-    if scope is None:
-        raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
-    _check_brute_order(n, allow_slow)
-    if scope == "nu" and is_prime(n):
-        raise NuUndefinedForPrime(f"only one isomorphism class at prime order {n}")
-    if n == 8:
-        # Full pairwise comparison over ~22k tables is out of desk scale;
-        # fixing one side at a canonical representative is exact because
-        # distance is transport-invariant and the table set is closed
-        # under transports.
-        best = None
-        for kind in groups_of_order(8):
-            value, pair = kind_stability(kind, scope, allow_slow=True)
-            if best is None or value < best[0]:
-                best = (value, pair)
-        assert best is not None
-        return best
-    tables, labels, _ = all_group_tables(n)
-    flat = tables.reshape(len(tables), -1)
-    best_val: Optional[int] = None
-    best_pair: Optional[tuple[int, int]] = None
-    for i in range(len(flat) - 1):
-        diffs = np.count_nonzero(flat[i + 1 :] != flat[i], axis=1)
-        if scope == "mu":
-            mask = labels[i + 1 :] == labels[i]
-        elif scope == "nu":
-            mask = labels[i + 1 :] != labels[i]
-        else:
-            mask = np.ones(len(diffs), dtype=bool)
-        mask &= diffs > 0
-        if not mask.any():
-            continue
-        masked = np.where(mask, diffs, n * n + 1)
-        j = int(np.argmin(masked))
-        if best_val is None or int(masked[j]) < best_val:
-            best_val = int(masked[j])
-            best_pair = (i, i + 1 + j)
-    if best_val is None or best_pair is None:
-        raise InputError(f"no pair satisfies scope {scope!r} at order {n}")
-    return best_val, (
-        validate_table(tables[best_pair[0]]),
-        validate_table(tables[best_pair[1]]),
+    scope = _scope(n, scope, allow_slow)
+    return min(
+        (kind_stability(kind, scope, allow_slow) for kind in groups_of_order(n)),
+        key=lambda result: result[0],
     )

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 import cayleydist as cd
 from cayleydist.errors import InputError, NoIdentity, NotLatin
 from cayleydist.metric import LemmaViolation
+from cayleydist.search import all_group_tables
 
 
 def cyclic(n: int) -> cd.GroupTable:
@@ -177,3 +179,35 @@ def oracle_first_invalid(cells) -> tuple[type, str] | None:
     ):
         return NoIdentity, "no two-sided identity element"
     return None
+
+
+def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable, cd.GroupTable]]:
+    """brute_delta as the O(N^2) sweep over every pair (i < j) of the N
+    tables of order n, returning the lexicographically first minimizing
+    pair."""
+    scope = {"isomorphic_only": "mu", "nonisomorphic_only": "nu"}.get(scope, scope)
+    tables, labels, _ = all_group_tables(n)
+    flat = tables.reshape(len(tables), -1)
+    best_val = None
+    best_pair = None
+    for i in range(len(flat) - 1):
+        diffs = np.count_nonzero(flat[i + 1 :] != flat[i], axis=1)
+        if scope == "mu":
+            mask = labels[i + 1 :] == labels[i]
+        elif scope == "nu":
+            mask = labels[i + 1 :] != labels[i]
+        else:
+            mask = np.ones(len(diffs), dtype=bool)
+        mask &= diffs > 0
+        if not mask.any():
+            continue
+        masked = np.where(mask, diffs, n * n + 1)
+        j = int(np.argmin(masked))
+        if best_val is None or int(masked[j]) < best_val:
+            best_val = int(masked[j])
+            best_pair = (i, i + 1 + j)
+    assert best_val is not None and best_pair is not None
+    return best_val, (
+        cd.validate_table(tables[best_pair[0]]),
+        cd.validate_table(tables[best_pair[1]]),
+    )

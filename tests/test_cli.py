@@ -9,6 +9,7 @@ from cayleydist.cli import main
 from conftest import (
     cyclic,
     oracle_first_nonassociative,
+    oracle_pairwise_delta,
     random_permutation,
     switched_intercalate,
 )
@@ -465,3 +466,23 @@ class TestVerifyAndOracle:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "n,scope",
+        [(4, "all"), (4, "mu"), (4, "nu"), (6, "all"), (6, "mu"), (6, "nu"), (7, "all"), (7, "mu")],
+    )
+    def test_oracle_json_pinned(self, capsys, n, scope):
+        code, out, err = run(capsys, "oracle", "--order", str(n), "--scope", scope, "--json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        del doc["runtime_ms"]
+        value, (wa, wb) = oracle_pairwise_delta(n, scope)
+        assert doc == {
+            "command": "oracle",
+            "counts": {},
+            "params": {"order": n, "scope": scope},
+            "result": {{"all": "delta"}.get(scope, scope): value},
+            "witnesses": {"pair": [[list(r) for r in wa.cells], [list(r) for r in wb.cells]]},
+        }

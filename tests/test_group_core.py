@@ -223,6 +223,19 @@ class TestMakeGroup:
             assert kind.label() == text
         with pytest.raises(InputError):
             cd.GroupKind.parse("sporadic:1")
+        with pytest.raises(InputError) as exc:
+            cd.GroupKind.parse("foo:3")
+        assert str(exc.value) == "unknown group kind 'foo:3' (want cyclic:N, dihedral:K, e2:K, q8)"
+
+    @pytest.mark.parametrize(
+        "kind",
+        [kind for n in range(1, 9) for kind in cd.groups_of_order(n)]
+        + [cd.GroupKind.cyclic(13), cd.GroupKind.dihedral(5), cd.GroupKind.elementary_abelian(0)],
+        ids=str,
+    )
+    def test_kind_label_round_trip(self, kind):
+        assert cd.GroupKind.parse(kind.label()) == kind
+        assert kind.order == cd.make_group(kind).n
 
 
 class TestTransport:

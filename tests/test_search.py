@@ -20,7 +20,7 @@ from cayleydist.search import (
     all_group_tables,
 )
 
-from conftest import cyclic, oracle_dist
+from conftest import cyclic, oracle_dist, oracle_pairwise_delta
 
 
 class TestEnumeratePatterns:
@@ -269,8 +269,27 @@ class TestBruteDelta:
         for arr in tables:
             cd.validate_table([[int(v) for v in row] for row in arr])
 
-    def test_kind_stability_matches_brute(self):
-        # only one iso class at order 5, so the reduction equals the global scan
-        v1, _ = cd.kind_stability(cd.GroupKind.cyclic(5), "all")
-        v2, _ = cd.brute_delta(5, "all")
-        assert v1 == v2 == 12
+    @pytest.mark.parametrize(
+        "n,scope",
+        [
+            (n, scope)
+            for n in range(2, 8)
+            for scope in ("all", "mu", "nu", "isomorphic_only", "nonisomorphic_only")
+            if not (cd.is_prime(n) and scope in ("nu", "nonisomorphic_only"))
+        ],
+    )
+    def test_matches_pairwise_oracle(self, n, scope):
+        expected = oracle_pairwise_delta(n, scope)
+        # Value and witness pair, cells and identities included.
+        assert cd.brute_delta(n, scope) == expected
+        kinds = cd.groups_of_order(n)
+        if len(kinds) == 1:
+            # One iso class: the canonical-representative reduction is the
+            # global scan itself.
+            assert cd.kind_stability(kinds[0], scope) == expected
+
+    def test_unknown_scope(self):
+        with pytest.raises(InputError, match="scope must be one of"):
+            cd.brute_delta(4, "some")
+        with pytest.raises(InputError, match="scope must be one of"):
+            cd.kind_stability(cd.GroupKind.cyclic(4), "some")
