@@ -3,7 +3,7 @@
 
 Prints one summary line per prime and optionally dumps the JSON reports.
 Each prime is then searched again over every row (the all-rows superset),
-which must give the same delta = 6p - 18; --skip-all-rows leaves that out.
+which must give the same delta = 6p - 18.
 """
 
 import argparse
@@ -19,7 +19,6 @@ PRIMES = (11, 13, 17, 19, 23, 29, 31)
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json-dir", help="write one report JSON per prime here")
-    ap.add_argument("--skip-all-rows", action="store_true")
     args = ap.parse_args()
 
     out_dir = Path(args.json_dir) if args.json_dir else None
@@ -48,17 +47,16 @@ def main() -> int:
                 json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
             )
 
-    if not args.skip_all_rows:
-        for p in PRIMES:
-            start = time.perf_counter()
-            report = prime_stability_verify(p, all_rows=True)
-            elapsed = time.perf_counter() - start
-            ok = report.theorem_confirmed() and report.delta == 6 * p - 18
-            all_ok &= ok
-            print(
-                f"p={p:2d} (all rows)  delta={report.delta:3d}  "
-                f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
-            )
+    for p in PRIMES:
+        start = time.perf_counter()
+        report = prime_stability_verify(p, all_rows=True)
+        elapsed = time.perf_counter() - start
+        ok = report.theorem_confirmed() and report.delta == 6 * p - 18
+        all_ok &= ok
+        print(
+            f"p={p:2d} (all rows)  delta={report.delta:3d}  "
+            f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
+        )
 
     print("conclusion:", "delta = 6p-18 confirmed for all searched primes" if all_ok else "FAILURE")
     return 0 if all_ok else 1

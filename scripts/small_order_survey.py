@@ -2,8 +2,7 @@
 """Brute-force stability survey at small orders.
 
 Tabulates the exact minimum distance between distinct group tables on
-{0..n-1} for n <= 7, split by scope, plus the per-group values at order 8
-when --allow-slow is passed.
+{0..n-1} for n <= 7, split by scope, and the per-group values at order 8.
 """
 
 import argparse
@@ -18,9 +17,7 @@ from cayleydist import (
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--allow-slow", action="store_true", help="include order 8")
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     for n in range(2, 8):
         counts = distinct_table_counts(n)
@@ -30,12 +27,11 @@ def main() -> int:
             line += f"  mu={brute_delta(n, 'mu')[0]}  nu={brute_delta(n, 'nu')[0]}"
         print(line)
 
-    if args.allow_slow:
-        print(f"n=8  tables={sum(distinct_table_counts(8).values())}")
-        for kind in groups_of_order(8):
-            mu, _ = kind_stability(kind, "mu", allow_slow=True)
-            nu, _ = kind_stability(kind, "nu", allow_slow=True)
-            print(f"  {kind.label():20s} mu={mu:3d}  nu={nu:3d}  delta={min(mu, nu)}")
+    print(f"n=8  tables={sum(distinct_table_counts(8).values())}")
+    for kind in groups_of_order(8):
+        mu, _ = kind_stability(kind, "mu", allow_slow=True)
+        nu, _ = kind_stability(kind, "nu", allow_slow=True)
+        print(f"  {kind.label():20s} mu={mu:3d}  nu={nu:3d}  delta={min(mu, nu)}")
     return 0
 
 

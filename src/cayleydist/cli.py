@@ -62,7 +62,7 @@ class CommandResult:
 def _load_table(path: str) -> GroupTable:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read table file {path}: {exc}") from exc
     return GroupTable.from_text(text)
 
@@ -83,10 +83,13 @@ def _perm_witness(p: Permutation) -> dict:
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_validate(args) -> CommandResult:
@@ -376,23 +379,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         result: CommandResult = args.func(args)
+        result.runtime_ms = int((time.perf_counter() - start) * 1000)
+        if args.json is not None:
+            _write_or_print(result.to_json() + "\n", None if args.json == "-" else args.json)
+        if result.text and args.json != "-":
+            print(result.text)
     except ViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result.runtime_ms = int((time.perf_counter() - start) * 1000)
-    if args.json is not None:
-        doc = result.to_json() + "\n"
-        if args.json == "-":
-            sys.stdout.write(doc)
-        else:
-            Path(args.json).write_text(doc)
-            if result.text:
-                print(result.text)
-    elif result.text:
-        print(result.text)
     return result.exit_code
 
 

@@ -9,7 +9,6 @@ tables need not place it at 0.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -27,18 +26,8 @@ from .errors import (
     OrderTooLarge,
 )
 
-DEFAULT_MAX_BRUTE_ORDER = 8
-
-
-def brute_order_cap() -> int:
-    """Order cap for brute-force routines; CAYLEY_MAX_ORDER overrides."""
-    raw = os.environ.get("CAYLEY_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_BRUTE_ORDER
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"CAYLEY_MAX_ORDER is not an integer: {raw!r}") from exc
+# Largest order the brute-force routines accept: the catalog's largest.
+MAX_BRUTE_ORDER = 8
 
 
 def is_prime(n: int) -> bool:
@@ -301,7 +290,7 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     # One (n, n) slab per a: [b, c] holds (ab)c against a(bc).  The first
     # True of a row-major slab is the lexicographically first offender.
     for a in range(n):
-        bad = arr[arr[a]] != arr[a][arr]
+        bad = arr.take(arr[a], 0) != arr[a].take(arr)
         if bad.any():
             b, c = divmod(int(np.argmax(bad)), n)
             raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
@@ -512,11 +501,9 @@ def _hom_from_generators(
 
 
 def are_isomorphic(
-    a: GroupTable, b: GroupTable, cap: Optional[int] = None
+    a: GroupTable, b: GroupTable, cap: int = MAX_BRUTE_ORDER
 ) -> tuple[bool, Optional[Permutation]]:
     """Exhaustive generator-image isomorphism search; meant for small orders."""
-    if cap is None:
-        cap = brute_order_cap()
     if a.n != b.n:
         return False, None
     if a.n > cap:

@@ -308,6 +308,8 @@ def analytic_lower_bound(p: int, m: int) -> BoundReport:
         raise NotPrime(f"need a prime greater than 7, got {p}")
     if m < 3:
         raise MTooSmall(f"m = {m} cannot occur (rows differ in 0 or >= 3 places)")
+    if m > p - 1:
+        raise InputError(f"m = {m} exceeds p - 1 = {p - 1} at p = {p}")
     l = _GUARANTEED_L.get(m, 3)
     bound1, bound2 = estim2_bounds(p, m, l)
     bounds: list[tuple[str, int]] = [("row_floor", m * (p - 1))]

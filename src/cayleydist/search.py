@@ -24,10 +24,10 @@ from .errors import (
     UnsupportedM,
 )
 from .group_core import (
+    MAX_BRUTE_ORDER,
     GroupKind,
     GroupTable,
     Permutation,
-    brute_order_cap,
     groups_of_order,
     is_prime,
     make_group,
@@ -359,30 +359,29 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     """Every group table on {0..n-1}, deduplicated, with iso-class labels.
 
     Returns (tables (N, n, n) uint8, labels (N,) int, kinds) where
-    labels[i] indexes into kinds.  Tables are generated as transports of
-    the canonical catalog tables through all n! permutations.
+    labels[i] indexes into kinds.  Tables are the transports
+    f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G through all n!
+    permutations f, kind by kind in catalog order; each table is kept at
+    its first occurrence.
     """
     kinds = tuple(groups_of_order(n))
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    pinv = np.argsort(perms, axis=1)
-    seen: dict[bytes, int] = {}
-    uniq: list[np.ndarray] = []
-    labels: list[int] = []
-    rows_idx = np.arange(len(perms))[:, None, None]
-    for label, kind in enumerate(kinds):
-        cells = make_group(kind).array
-        inner = cells[pinv[:, :, None], pinv[:, None, :]]
-        transported = perms[rows_idx, inner].astype(np.uint8)
-        for t in transported:
-            key = t.tobytes()
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = label
-                uniq.append(t)
-                labels.append(label)
-            elif prev != label:  # two catalog kinds produced the same table
-                raise InputError(f"catalog overlap at order {n}: {kinds[prev]} vs {kind}")
-    return np.stack(uniq), np.array(labels, dtype=np.int64), kinds
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    nperms = len(perms)
+    pinv = np.argsort(perms, axis=1).astype(np.uint8)
+    # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of the
+    # row of f in perms; n*n <= 64 keeps the first in uint8.
+    cell_idx = (pinv[:, :, None] * np.uint8(n) + pinv[:, None, :]).reshape(nperms, n * n)
+    perm_row = np.arange(nperms)[:, None] * n
+    transported = np.concatenate(
+        [
+            perms.take(make_group(kind).array.astype(np.uint8).take(cell_idx) + perm_row)
+            for kind in kinds
+        ]
+    )
+    keys = transported.view(np.dtype((np.void, n * n))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return transported[first].reshape(-1, n, n), first // nperms, kinds
 
 
 def distinct_table_counts(n: int) -> dict[str, int]:
@@ -400,11 +399,10 @@ def _scope(n: int, scope: str, allow_slow: bool) -> str:
     resolved = SCOPE_ALIASES.get(scope)
     if resolved is None:
         raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
-    cap = min(brute_order_cap(), 8)
     if n < 2:
         raise InputError(f"stability needs at least two tables; order {n} has one")
-    if n > cap:
-        raise OrderTooLarge(f"brute force capped at order {cap}, got {n}")
+    if n > MAX_BRUTE_ORDER:
+        raise OrderTooLarge(f"brute force capped at order {MAX_BRUTE_ORDER}, got {n}")
     if n == 8 and not allow_slow:
         raise OrderTooLarge("order 8 enumerates ~200k transports; pass allow_slow")
     if resolved == "nu" and is_prime(n):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -179,6 +180,32 @@ def oracle_first_invalid(cells) -> tuple[type, str] | None:
     ):
         return NoIdentity, "no two-sided identity element"
     return None
+
+
+def oracle_all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[cd.GroupKind, ...]]:
+    """all_group_tables as a per-table dedupe loop over the transports of
+    each catalog kind, raising if two kinds produce the same table."""
+    kinds = tuple(cd.groups_of_order(n))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    pinv = np.argsort(perms, axis=1)
+    seen: dict[bytes, int] = {}
+    uniq: list[np.ndarray] = []
+    labels: list[int] = []
+    rows_idx = np.arange(len(perms))[:, None, None]
+    for label, kind in enumerate(kinds):
+        cells = cd.make_group(kind).array
+        inner = cells[pinv[:, :, None], pinv[:, None, :]]
+        transported = perms[rows_idx, inner].astype(np.uint8)
+        for t in transported:
+            key = t.tobytes()
+            prev = seen.get(key)
+            if prev is None:
+                seen[key] = label
+                uniq.append(t)
+                labels.append(label)
+            elif prev != label:  # two catalog kinds produced the same table
+                raise InputError(f"catalog overlap at order {n}: {kinds[prev]} vs {kind}")
+    return np.stack(uniq), np.array(labels, dtype=np.int64), kinds
 
 
 def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable, cd.GroupTable]]:

@@ -371,6 +371,35 @@ class TestBasicCommands:
         code, _, err = run(capsys, "bounds", "--p", "15", "--m", "3")
         assert code == 2
 
+    def test_bounds_m_above_p_minus_one(self, capsys):
+        code, out, err = run(capsys, "bounds", "--p", "11", "--m", "40")
+        assert code == 2 and out == ""
+        assert err == "error: m = 40 exceeds p - 1 = 10 at p = 11\n"
+
+    def test_table_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.tbl"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read table file {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--order", "3", "--json", "{out}"],
+            ["make", "--kind", "cyclic:3", "-o", "{out}"],
+            ["transport", "{table}", "--cycles", "(1 2)", "-o", "{out}"],
+        ],
+        ids=["json", "make", "transport"],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, z7_file, argv):
+        out_path = tmp_path / "missing" / "out"
+        argv = [a.format(out=out_path, table=z7_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert not out_path.exists()
+
 
 class TestMakeTransportRoundTrip:
     def test_make_validate_roundtrip(self, capsys, tmp_path):

@@ -312,6 +312,13 @@ class TestAnalyticBounds:
         with pytest.raises(MTooSmall):
             cd.analytic_lower_bound(11, 2)
 
+    def test_m_above_p_minus_one(self):
+        assert cd.analytic_lower_bound(11, 10).bounds[0] == ("row_floor", 100)
+        with pytest.raises(InputError, match=r"^m = 11 exceeds p - 1 = 10 at p = 11$"):
+            cd.analytic_lower_bound(11, 11)
+        with pytest.raises(InputError, match=r"^m = 40 exceeds p - 1 = 10 at p = 11$"):
+            cd.analytic_lower_bound(11, 40)
+
 
 class TestCheckLemmas:
     def test_paper_pair_clean(self, z7, paper_f7):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,12 @@ from cayleydist.search import (
     all_group_tables,
 )
 
-from conftest import cyclic, oracle_dist, oracle_pairwise_delta
+from conftest import (
+    cyclic,
+    oracle_all_group_tables,
+    oracle_dist,
+    oracle_pairwise_delta,
+)
 
 
 class TestEnumeratePatterns:
@@ -248,21 +254,44 @@ class TestBruteDelta:
             cd.brute_delta(5, "nu")
 
     def test_order_caps(self):
-        with pytest.raises(OrderTooLarge):
+        with pytest.raises(OrderTooLarge, match="^brute force capped at order 8, got 9$"):
             cd.brute_delta(9)
         with pytest.raises(OrderTooLarge):
             cd.brute_delta(8)  # needs allow_slow
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("CAYLEY_MAX_ORDER", "4")
-        with pytest.raises(OrderTooLarge):
-            cd.brute_delta(5)
 
     def test_distinct_table_counts(self):
         assert cd.distinct_table_counts(7) == {"cyclic:7": 840}
         assert cd.distinct_table_counts(5) == {"cyclic:5": 30}
         assert cd.distinct_table_counts(4) == {"cyclic:4": 12, "e2:2": 4}
         assert cd.distinct_table_counts(6) == {"cyclic:6": 360, "dihedral:3": 120}
+        assert cd.distinct_table_counts(8) == {
+            "cyclic:8": 10080,
+            "cyclic:4*cyclic:2": 5040,
+            "e2:3": 240,
+            "dihedral:4": 5040,
+            "q8": 1680,
+        }
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_all_group_tables_matches_oracle(self, n):
+        tables, labels, kinds = all_group_tables(n)
+        expected = oracle_all_group_tables(n)
+        assert tables.dtype == expected[0].dtype == np.uint8
+        assert labels.dtype == expected[1].dtype == np.int64
+        assert np.array_equal(tables, expected[0])
+        assert np.array_equal(labels, expected[1])
+        assert kinds == expected[2]
+        # Each kind keeps every one of its own distinct transports, so no
+        # table is shared between kinds.
+        perms = np.array(list(itertools.permutations(range(n))))
+        pinv = np.argsort(perms, axis=1)
+        rows = np.arange(len(perms))[:, None, None]
+        counts = cd.distinct_table_counts(n)
+        for kind in kinds:
+            g = cd.make_group(kind).array
+            own = perms[rows, g[pinv[:, :, None], pinv[:, None, :]]]
+            assert counts[kind.label()] == len({t.tobytes() for t in own})
+        assert sum(counts.values()) == len(tables)
 
     def test_every_enumerated_table_is_a_group(self):
         tables, _, _ = all_group_tables(4)
