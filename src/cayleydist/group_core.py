@@ -213,8 +213,13 @@ class GroupTable:
             k += 1
         return k
 
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """element_order of each element, built on first use like array."""
+        return tuple(map(self.element_order, range(self.n)))
+
     def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(g) for g in range(self.n)))
+        return tuple(sorted(self.orders))
 
     def is_abelian(self) -> bool:
         return all(
@@ -262,13 +267,9 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     if n == 0:
         raise InputError("empty table")
     ragged = next((a for a, row in enumerate(cells) if len(row) != n), n)
-    # The range pass covers the rows before a ragged one, as a row-by-row
-    # scan would reach them first.
+    # The type and range pass covers the rows before a ragged one, as a
+    # row-by-row scan would reach them first.
     arr = _cell_array(cells[:ragged], n)
-    out_of_range = (arr < 0) | (arr >= n)
-    if out_of_range.any():
-        a, b = divmod(int(np.argmax(out_of_range)), n)
-        raise InputError(f"cell ({a},{b}) = {arr[a, b]} outside 0..{n - 1}")
     if ragged < n:
         raise InputError(f"row {ragged} has {len(cells[ragged])} entries, expected {n}")
     # A line is Latin iff each value occurs once in it: count (line, value).
@@ -287,24 +288,46 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     if not is_identity.any():
         raise NoIdentity("no two-sided identity element")
     e = int(np.argmax(is_identity))
-    # One (n, n) slab per a: [b, c] holds (ab)c against a(bc).  The first
-    # True of a row-major slab is the lexicographically first offender.
-    for a in range(n):
-        bad = arr.take(arr[a], 0) != arr[a].take(arr)
-        if bad.any():
-            b, c = divmod(int(np.argmax(bad)), n)
-            raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
-    return GroupTable._from_array(arr, identity=e)
+    t = GroupTable._from_array(arr, identity=e)
+    # The c with (ab)c = a(bc) for every a, b include e and are closed under
+    # products, so once they include a generating sequence they include all
+    # its walk reaches: every element.  Checking the generators decides
+    # associativity.  The full scan, one (n, n) slab per a whose [b, c] holds
+    # (ab)c against a(bc), runs only to name the first offender: the first
+    # True of a row-major slab is the lexicographically first (a, b, c).
+    gens = generating_sequence(t)
+    if not all((arr[:, c].take(arr) == arr.take(arr[:, c], 1)).all() for c in gens):
+        for a in range(n):
+            bad = arr.take(arr[a], 0) != arr[a].take(arr)
+            if bad.any():
+                b, c = divmod(int(np.argmax(bad)), n)
+                raise NotAssociative(f"(a,b,c)=({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
+    return t
 
 
 def _cell_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """rows as an (len(rows), n) np.intp array."""
+    """rows as a (len(rows), n) np.intp array of values in 0..n-1.
+
+    Raises InputError at the row-major first cell that is not an integer
+    (ints, numpy integers and bools are) or lies outside 0..n-1.
+    """
     try:
-        return np.array(rows, dtype=np.intp).reshape(-1, n)
-    except OverflowError:
-        # Some value does not fit np.intp; Python ints keep it exact for
-        # the range pass, which then names it.
-        return np.array([[int(v) for v in row] for row in rows], dtype=object).reshape(-1, n)
+        arr = np.array(rows)
+    except ValueError:  # a cell holds a sequence
+        arr = np.empty(0)
+    if arr.shape == (len(rows), n) and np.can_cast(arr.dtype, np.intp):
+        arr = arr.astype(np.intp, copy=False)
+        if ((arr >= 0) & (arr < n)).all():
+            return arr
+    # The input values, not a converted array: numpy infers float64 for
+    # [0, 2**63] and truncates a float cast to an integer dtype.
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            if not isinstance(v, (int, np.integer, np.bool_)):
+                raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise InputError(f"cell ({a},{b}) = {int(v)} outside 0..{n - 1}")
+    return np.array(rows, dtype=np.intp).reshape(-1, n)
 
 
 def _dihedral_mul(k: int, a: int, b: int) -> int:
@@ -448,17 +471,20 @@ def power(t: GroupTable, g: int, k: int) -> int:
     return x
 
 
-def _closure(t: GroupTable, seed: set[int]) -> set[int]:
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(out):
-            for z in (t.cells[x][y], t.cells[y][x]):
-                if z not in out:
-                    out.add(z)
-                    frontier.append(z)
-    return out
+def _span(t: GroupTable, gens: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """The elements reached from the identity by right multiplication by
+    gens, walked breadth-first: in a group, the subgroup gens generate.
+    Each y maps to the (x, i) that first reached it, y = x * gens[i], and
+    the identity to (-1, -1); keys come in walk order, x before its y."""
+    reached = {t.identity: (-1, -1)}
+    walk = [t.identity]
+    for x in walk:
+        for i, g in enumerate(gens):
+            y = t.cells[x][g]
+            if y not in reached:
+                reached[y] = (x, i)
+                walk.append(y)
+    return reached
 
 
 def generating_sequence(t: GroupTable) -> list[int]:
@@ -468,55 +494,36 @@ def generating_sequence(t: GroupTable) -> list[int]:
     for x in range(t.n):
         if x not in span:
             gens.append(x)
-            span = _closure(t, span | {x})
+            span = _span(t, gens).keys()
     return gens
 
 
 def _hom_from_generators(
     a: GroupTable, b: GroupTable, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[Permutation]:
-    """Extend gen -> image to a map by closure; None on any conflict."""
+    """The map sending gens[i] to images[i], extended along the walk of
+    _span; None unless gens span a and the map is an isomorphism."""
     f = [-1] * a.n
-    f[a.identity] = b.identity
-    frontier = [a.identity]
-    while frontier:
-        x = frontier.pop()
-        fx = f[x]
-        for g, im in zip(gens, images):
-            y = a.cells[x][g]
-            fy = b.cells[fx][im]
-            if f[y] == -1:
-                f[y] = fy
-                frontier.append(y)
-            elif f[y] != fy:
-                return None
-    if -1 in f or len(set(f)) != a.n:
+    for y, (x, i) in _span(a, gens).items():
+        f[y] = b.identity if x < 0 else b.cells[f[x]][images[i]]
+    fa = np.array(f)
+    if -1 in f or len(set(f)) != a.n or (fa[a.array] != b.array[fa[:, None], fa]).any():
         return None
-    for x in range(a.n):
-        fx = f[x]
-        for y in range(a.n):
-            if f[a.cells[x][y]] != b.cells[fx][f[y]]:
-                return None
     return Permutation(tuple(f))
 
 
-def are_isomorphic(
-    a: GroupTable, b: GroupTable, cap: int = MAX_BRUTE_ORDER
-) -> tuple[bool, Optional[Permutation]]:
-    """Exhaustive generator-image isomorphism search; meant for small orders."""
+def are_isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, Optional[Permutation]]:
+    """Exhaustive generator-image isomorphism search, up to MAX_BRUTE_ORDER."""
     if a.n != b.n:
         return False, None
-    if a.n > cap:
-        raise OrderTooLarge(f"isomorphism search capped at order {cap}, got {a.n}")
+    if a.n > MAX_BRUTE_ORDER:
+        raise OrderTooLarge(f"isomorphism search capped at order {MAX_BRUTE_ORDER}, got {a.n}")
     if a.order_profile() != b.order_profile():
         return False, None
     gens = generating_sequence(a)
     if not gens:
         return True, Permutation.identity(a.n)
-    orders = [a.element_order(g) for g in gens]
-    candidates = [
-        [x for x in range(b.n) if b.element_order(x) == o] for o in orders
-    ]
+    candidates = [[x for x, o in enumerate(b.orders) if o == a.orders[g]] for g in gens]
     for images in itertools.product(*candidates):
         f = _hom_from_generators(a, b, gens, images)
         if f is not None:
@@ -525,26 +532,16 @@ def are_isomorphic(
 
 
 def is_dihedral_twice_odd(t: GroupTable) -> bool:
-    """True iff |G| = 2k with k odd >= 3 and G is dihedral of order 2k."""
-    if t.n % 2 != 0:
+    """True iff |G| = 2k with k odd >= 3 and G is dihedral of order 2k.
+
+    An element r of order k spans an index-2 subgroup with no involutions
+    (k is odd), so G has at most k involutions, all in the other coset.
+    With exactly k, every s outside <r> has s^2 = (sr)^2 = e, so srs = r^-1.
+    """
+    k, rem = divmod(t.n, 2)
+    if rem or k % 2 == 0 or k < 3:
         return False
-    k = t.n // 2
-    if k % 2 == 0 or k < 3:
-        return False
-    for r in range(t.n):
-        if t.element_order(r) != k:
-            continue
-        rot = {power(t, r, i) for i in range(k)}
-        r_inv = t.inverse(r)
-        for s in range(t.n):
-            if s in rot:
-                continue
-            if t.cells[s][s] != t.identity:
-                continue
-            if t.cells[t.cells[s][r]][s] == r_inv:
-                return True
-        return False  # every order-k element generates the same subgroup
-    return False
+    return k in t.orders and t.orders.count(2) == k
 
 
 def groups_of_order(n: int) -> list[GroupKind]:

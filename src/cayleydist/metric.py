@@ -26,6 +26,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .group_core import (
+    MAX_BRUTE_ORDER,
     GroupTable,
     Permutation,
     are_isomorphic,
@@ -230,9 +231,8 @@ def _transposition_mf(
 
 
 def estim1_bound(n: int, m: int) -> int:
-    """ceil(n/4)*ceil(n/3) + (n - ceil(n/4) - 1)*m."""
-    q4, q3 = math.ceil(n / 4), math.ceil(n / 3)
-    return q4 * q3 + (n - q4 - 1) * m
+    """ceil(n/4)*ceil(n/3) + (n - ceil(n/4) - 1)*m: estim2's second bound at l = 0."""
+    return estim2_bounds(n, m, 0)[1]
 
 
 def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:
@@ -367,7 +367,7 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
         isomorphic = False
         if is_prime(n):
             isomorphic = True
-        elif n <= 8:
+        elif n <= MAX_BRUTE_ORDER:
             isomorphic = are_isomorphic(a, b)[0]
         if isomorphic:
             out.append(

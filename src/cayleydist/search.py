@@ -137,16 +137,9 @@ def _pattern(
     p: int, h: int, positions: tuple[int, ...], nxt: Sequence[int]
 ) -> PatternMod:
     """The PatternMod that moves positions by the next-slot row nxt."""
-    cycles, seen = [], set()
-    for j in range(len(nxt)):
-        cyc = []
-        while j not in seen:
-            seen.add(j)
-            cyc.append(positions[j])
-            j = nxt[j]
-        if cyc:
-            cycles.append(tuple(cyc))
-    return PatternMod(p, h, len(positions), positions, tuple(cycles))
+    cycles = Permutation(tuple(nxt)).cycles()
+    rearrangement = tuple(tuple(positions[j] for j in cyc) for cyc in cycles)
+    return PatternMod(p, h, len(positions), positions, rearrangement)
 
 
 def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
@@ -157,7 +150,8 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
     search; prime_stability_verify runs the same patterns as arrays.
     """
     if m not in REARRANGEMENTS:
-        raise UnsupportedM(f"pattern search supports m in {{3, 4}}, got {m}")
+        supported = ", ".join(map(str, sorted(REARRANGEMENTS)))
+        raise UnsupportedM(f"pattern search supports m in {{{supported}}}, got {m}")
     if not is_prime(p) or p <= 7:
         raise InputError(f"need a prime greater than 7, got {p}")
     if not 1 <= h < p:

@@ -88,6 +88,32 @@ def oracle_first_nonassociative(cells) -> str | None:
     return None
 
 
+def reduced_loops(n: int):
+    """Every Latin square on 0..n-1 whose row 0 and column 0 read 0..n-1,
+    that is every loop with identity 0, by backtracking over the cells."""
+    cells = [[b if a == 0 else a if b == 0 else -1 for b in range(n)] for a in range(n)]
+    rows = [set(r) - {-1} for r in cells]
+    cols = [set(c) - {-1} for c in zip(*cells)]
+    free = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(free):
+            yield [r[:] for r in cells]
+            return
+        a, b = free[k]
+        for v in range(n):
+            if v not in rows[a] and v not in cols[b]:
+                cells[a][b] = v
+                rows[a].add(v)
+                cols[b].add(v)
+                yield from fill(k + 1)
+                rows[a].discard(v)
+                cols[b].discard(v)
+        cells[a][b] = -1
+
+    yield from fill(0)
+
+
 def switched_intercalate(k: int, rng: random.Random) -> list[list[int]]:
     """Z_2k with one intercalate switched: rows a, a+k and columns b, b+k
     hold a 2x2 Latin subsquare, and swapping it keeps the Latin property and
@@ -159,6 +185,8 @@ def oracle_first_invalid(cells) -> tuple[type, str] | None:
         if len(row) != n:
             return InputError, f"row {a} has {len(row)} entries, expected {n}"
         for b, v in enumerate(row):
+            if not isinstance(v, (int, np.integer, np.bool_)):
+                return InputError, f"cell ({a},{b}) = {v!r} is not an integer"
             if not 0 <= v < n:
                 return InputError, f"cell ({a},{b}) = {v} outside 0..{n - 1}"
     for a, row in enumerate(cells):
@@ -180,6 +208,44 @@ def oracle_first_invalid(cells) -> tuple[type, str] | None:
     ):
         return NoIdentity, "no two-sided identity element"
     return None
+
+
+def oracle_closure(t: cd.GroupTable, seed: set[int]) -> set[int]:
+    """The subgroup generated by seed, closed under products both ways."""
+    out = set(seed)
+    frontier = list(seed)
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(out):
+            for z in (t.cells[x][y], t.cells[y][x]):
+                if z not in out:
+                    out.add(z)
+                    frontier.append(z)
+    return out
+
+
+def oracle_is_dihedral_twice_odd(t: cd.GroupTable) -> bool:
+    """is_dihedral_twice_odd as a search for r of order k and a reflection
+    s outside <r> with s^2 = e and srs = r^-1."""
+    if t.n % 2 != 0:
+        return False
+    k = t.n // 2
+    if k % 2 == 0 or k < 3:
+        return False
+    for r in range(t.n):
+        if t.element_order(r) != k:
+            continue
+        rot = {cd.power(t, r, i) for i in range(k)}
+        r_inv = t.inverse(r)
+        for s in range(t.n):
+            if s in rot:
+                continue
+            if t.cells[s][s] != t.identity:
+                continue
+            if t.cells[t.cells[s][r]][s] == r_inv:
+                return True
+        return False  # every order-k element generates the same subgroup
+    return False
 
 
 def oracle_all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[cd.GroupKind, ...]]:

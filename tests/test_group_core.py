@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +15,17 @@ from cayleydist.errors import (
     NotLatin,
     OrderTooLarge,
 )
+from cayleydist.group_core import MAX_BRUTE_ORDER
 
 from conftest import (
     cyclic,
     dihedral,
+    oracle_closure,
     oracle_first_invalid,
     oracle_first_nonassociative,
+    oracle_is_dihedral_twice_odd,
     random_permutation,
+    reduced_loops,
     switched_intercalate,
 )
 
@@ -88,7 +94,48 @@ class TestValidateTable:
                 cd.validate_table(table)
             assert str(exc.value) == expected
 
-    @pytest.mark.parametrize("kind", ["range", "row", "column", "identity", "ragged"])
+    @pytest.mark.parametrize("n, count, groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+    def test_every_small_loop_against_full_scan(self, n, count, groups):
+        # validate_table checks associativity on a generating sequence and
+        # scans every triple only to name the offender; every loop of order
+        # n, relabelled so the identity moves, gets the full scan's verdict
+        rng = random.Random(n)
+        seen = []
+        for cells in reduced_loops(n):
+            f = random_permutation(n, rng).image
+            moved = [[0] * n for _ in range(n)]
+            for x, row in enumerate(cells):
+                for y, v in enumerate(row):
+                    moved[f[x]][f[y]] = f[v]
+            expected = oracle_first_nonassociative(moved)
+            try:
+                cd.validate_table(moved)
+            except NotAssociative as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None
+            seen.append(expected is None)
+        assert (len(seen), sum(seen)) == (count, groups)
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [(0.5, "0.5"), (1.9, "1.9"), (-0.5, "-0.5"), ("1", "'1'"), (None, "None"), ("a", "'a'")],
+    )
+    def test_non_integer_cell(self, cell, shown):
+        message = f"cell (1,1) = {shown} is not an integer"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.validate_table([[0, 1], [1, cell]])
+
+    def test_integer_like_cells_pass(self):
+        for cells in ([[False, True], [True, False]], np.array([[0, 1], [1, 0]], dtype=np.uint8)):
+            assert cd.validate_table(cells) == cyclic(2)
+        with pytest.raises(InputError, match=r"is not an integer"):
+            cd.validate_table(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # numpy reads [0, 2**63] as float64; the message keeps the exact int
+        with pytest.raises(InputError, match=rf"^cell \(0,1\) = {2**63} outside 0..1$"):
+            cd.validate_table([[0, 2**63], [1, 0]])
+
+    @pytest.mark.parametrize("kind", ["range", "row", "column", "identity", "ragged", "noninteger"])
     def test_first_offender_matches_row_scan(self, kind):
         rng = random.Random(kind)
         raised = set()
@@ -107,6 +154,7 @@ class TestValidateTable:
             raised.add(str(exc.value).split(" ")[0])
         # the error each kind of breakage is built for comes up
         first_word = {"range": "cell", "row": "row", "column": "column", "identity": "no", "ragged": "row"}
+        first_word["noninteger"] = "cell"
         assert first_word[kind] in raised
 
     def test_ingested_identity_need_not_be_zero(self):
@@ -136,6 +184,10 @@ def _broken_table(kind: str, rng: random.Random) -> list[list[int]]:
         del cells[a][b]
         if rng.random() < 0.5:
             cells[rng.randrange(n)][-1] = n
+    elif kind == "noninteger":  # maybe after or before an out-of-range cell
+        cells[a][b] = rng.choice([0.5, 1.9, -0.5, float(cells[a][b]), "1", "a", None, [1]])
+        if rng.random() < 0.5:
+            cells[rng.randrange(n)][rng.randrange(n)] = n
     return cells
 
 
@@ -275,6 +327,14 @@ class TestIsomorphism:
         klein = cd.make_group(cd.GroupKind.elementary_abelian(2))
         assert cd.are_isomorphic(z4, klein) == (False, None)
 
+    def test_generator_images_must_give_a_homomorphism(self):
+        # 1 -> 1, 2 -> 2 extends along the walk to a bijection from the
+        # Klein group onto Z_4, but f(1 * 1) = f(0) = 0 while f(1) + f(1) = 2
+        klein = cd.make_group(cd.GroupKind.elementary_abelian(2))
+        assert cd.group_core._hom_from_generators(klein, cyclic(4), [1, 2], [1, 2]) is None
+        z4 = cyclic(4)
+        assert cd.group_core._hom_from_generators(z4, z4, [1], [3]) == cd.Permutation((0, 3, 2, 1))
+
     def test_z7_vs_transport(self, z7):
         rng = random.Random(7)
         moved = cd.transport(z7, random_permutation(7, rng))
@@ -301,9 +361,10 @@ class TestIsomorphism:
         _, f2 = cd.are_isomorphic(a, b)
         assert cd.hom_distance(f2.compose(f1), z6, b) == 0
 
-    def test_order_cap(self, z5):
-        with pytest.raises(OrderTooLarge):
-            cd.are_isomorphic(z5, z5, cap=4)
+    def test_order_cap(self):
+        z9 = cyclic(MAX_BRUTE_ORDER + 1)
+        with pytest.raises(OrderTooLarge, match="^isomorphism search capped at order 8, got 9$"):
+            cd.are_isomorphic(z9, z9)
 
     def test_prime_order_tables_are_cyclic(self):
         tables, labels, kinds = cd.search.all_group_tables(5)
@@ -322,6 +383,28 @@ class TestDihedralTwiceOdd:
     def test_relabelled_dihedral_detected(self):
         moved = cd.transport(dihedral(5), cd.Permutation((9, 3, 7, 0, 5, 2, 8, 1, 6, 4)))
         assert cd.is_dihedral_twice_odd(moved)
+
+    def test_matches_search_oracle(self):
+        rng = random.Random(7)
+        base = [cd.GroupKind.cyclic(i) for i in range(1, 16)]
+        base += [cd.GroupKind.dihedral(k) for k in range(1, 16)]
+        kinds = base + [
+            cd.GroupKind.direct_product(a, b)
+            for a, b in itertools.combinations_with_replacement(base, 2)
+            if a.order * b.order <= 120
+        ]
+        kinds += map(cd.GroupKind.parse, ("cyclic:61", "cyclic:101", "dihedral:50", "dihedral:51"))
+        found = []
+        for kind in kinds:
+            t = cd.make_group(kind)
+            for table in (t, cd.transport(t, random_permutation(t.n, rng))):
+                assert cd.is_dihedral_twice_odd(table) == oracle_is_dihedral_twice_odd(table), kind
+            if cd.is_dihedral_twice_odd(t):
+                found.append(kind.label())
+        # D_k for odd k >= 3, alone and as a product with the trivial group
+        odd = range(3, 16, 2)
+        expected = [f"dihedral:{k}" for k in odd] + [f"cyclic:1*dihedral:{k}" for k in odd]
+        assert found == expected + ["dihedral:51"]
 
 
 class TestPower:
@@ -400,13 +483,27 @@ def test_element_order_of_a_non_group_is_bounded():
         t.element_order(0)
     with pytest.raises(InputError):
         t.order_profile()
+    with pytest.raises(InputError, match="element 0 does not reach the identity"):
+        t.orders
+
+
+@pytest.mark.parametrize("label", ["cyclic:12", "dihedral:6", "q8", "e2:3", "dihedral:3*cyclic:2"])
+def test_orders_are_element_orders(label):
+    base = cd.make_group(cd.GroupKind.parse(label))
+    t = cd.transport(base, random_permutation(base.n, random.Random(label)))
+    assert t.orders == tuple(t.element_order(g) for g in range(t.n))
 
 
 def test_generating_sequence_spans():
-    for kind in cd.groups_of_order(8):
-        t = cd.make_group(kind)
-        gens = cd.generating_sequence(t)
-        span = {t.identity}
-        for g in gens:
-            span = cd.group_core._closure(t, span | {g})
-        assert span == set(range(8))
+    rng = random.Random(11)
+    for n in range(1, MAX_BRUTE_ORDER + 1):
+        for kind in cd.groups_of_order(n):
+            t = cd.make_group(kind)
+            for table in (t, cd.transport(t, random_permutation(n, rng))):
+                gens = cd.generating_sequence(table)
+                # each generator lies outside the span of those before it
+                span = {table.identity}
+                for g in gens:
+                    assert g not in span
+                    span = oracle_closure(table, span | {g})
+                assert span == set(range(n))

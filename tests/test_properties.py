@@ -5,6 +5,7 @@ sweep) live in test_acceptance; here the same invariants run at a scale
 suited to every-commit testing.
 """
 
+import math
 import random
 
 import pytest
@@ -69,6 +70,13 @@ def test_estim2_bounds_nondecreasing_in_m(n, l, m):
     assert b1b >= b1a
     if b2a is not None and b2b is not None:
         assert b2b >= b2a
+
+
+def test_estim1_is_estim2_at_l0():
+    for p in filter(cd.is_prime, range(2, 102)):
+        q4, q3 = math.ceil(p / 4), math.ceil(p / 3)
+        for m in range(3, 13):
+            assert cd.estim1_bound(p, m) == cd.estim2_bounds(p, m, 0)[1] == q4 * q3 + (p - q4 - 1) * m
 
 
 @given(st.integers(min_value=0, max_value=10007))

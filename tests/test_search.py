@@ -53,7 +53,7 @@ class TestEnumeratePatterns:
         assert [p.rearrangement for p in pats] == [((1, 2, 3),), ((1, 3, 2),)]
 
     def test_unsupported_m(self):
-        with pytest.raises(UnsupportedM):
+        with pytest.raises(UnsupportedM, match=r"^pattern search supports m in \{3, 4\}, got 5$"):
             list(cd.enumerate_patterns(11, 5))
         with pytest.raises(InputError):
             list(cd.enumerate_patterns(9, 3))
@@ -175,18 +175,21 @@ class TestPrimeStabilityVerify:
             assert cl.candidates_enumerated == 10 * cf.candidates_enumerated
             assert cl.min_distance == cf.min_distance
 
-    def test_all_rows_superset_of_fixed_row(self):
-        # every candidate table reachable with h = 1 appears in the all-rows set
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_rows_equivariant_to_fixed_row(self, p):
+        # the row of h is x -> x + h, so pattern j on row h is pattern j on
+        # row 1 scaled by h: phi_h = h * phi_1 mod p, with the same
+        # completions and distances
         for m in (3, 4):
-            positions, sources = _pattern_table(11, m)
-            full_set = set()
-            for h in range(1, 11):
-                phis, ok = _complete_block(11, np.full(len(positions), h), positions, sources)
-                found = {phi.tobytes() for phi in phis[ok]}
-                if h == 1:
-                    fixed_set = found
-                full_set |= found
-            assert fixed_set <= full_set
+            positions, sources = _pattern_table(p, m)
+            phi1, ok1 = _complete_block(p, np.ones(len(positions), dtype=np.intp), positions, sources)
+            d1 = _phi_distances(p, phi1[ok1])
+            assert ok1.any()
+            for h in range(2, p):
+                phi, ok = _complete_block(p, np.full(len(positions), h), positions, sources)
+                assert np.array_equal(phi, phi1.astype(np.intp) * h % p)
+                assert np.array_equal(ok, ok1)
+                assert np.array_equal(_phi_distances(p, phi[ok]), d1)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_all_rows_mcase_matches_slow_path(self, p):
