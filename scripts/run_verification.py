@@ -36,10 +36,13 @@ def main() -> int:
             f"m={c.m}: {c.candidates_completing}/{c.candidates_enumerated} groups, min {c.min_distance}"
             for c in report.m_cases
         )
-        excluded = ", ".join(f"m={b.m}" for b in report.analytic_exclusions)
+        excluded = ", ".join(
+            f"m={b.m}" if b.excluded else f"m={b.m} NOT excluded (bound {b.best})"
+            for b in report.analytic_exclusions
+        )
         print(
             f"p={p:2d}  delta={report.delta:3d}  threshold={report.threshold:3d}  "
-            f"[{searched or 'all m excluded'}; excluded: {excluded}]  "
+            f"[{searched or 'all m excluded'}; by bounds: {excluded}]  "
             f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
         )
         if out_dir:

@@ -245,9 +245,10 @@ def _cmd_verify(args) -> CommandResult:
             f"min dist = {case.min_distance}"
         )
     for excl in report.analytic_exclusions:
+        verdict = "excluded analytically" if excl.excluded else "NOT excluded"
         lines.append(
-            f"  m={excl.m}{'+' if excl.m == 6 else ''}: excluded analytically, "
-            f"best bound {excl.best} >= {report.threshold}"
+            f"  m={excl.m}{'+' if excl.m == 6 else ''}: {verdict}, best bound {excl.best} "
+            f"{'>=' if excl.excluded else '<'} {report.threshold}"
         )
     lines.append(
         f"  conclusion: delta = {report.delta} "

@@ -75,7 +75,7 @@ class Permutation:
             raise DimensionMismatch(f"compose: {self.n} vs {other.n}")
         return Permutation(tuple(self.image[v] for v in other.image))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.n
         out = []
         for start in range(self.n):
@@ -88,7 +88,7 @@ class Permutation:
                 cyc.append(x)
                 seen[x] = True
                 x = self.image[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -266,12 +266,15 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     n = len(cells)
     if n == 0:
         raise InputError("empty table")
-    ragged = next((a for a, row in enumerate(cells) if len(row) != n), n)
+    lengths = [len(row) if hasattr(row, "__len__") else None for row in cells]
+    ragged = next((a for a, k in enumerate(lengths) if k != n), n)
     # The type and range pass covers the rows before a ragged one, as a
     # row-by-row scan would reach them first.
     arr = _cell_array(cells[:ragged], n)
     if ragged < n:
-        raise InputError(f"row {ragged} has {len(cells[ragged])} entries, expected {n}")
+        if lengths[ragged] is None:
+            raise InputError(f"row {ragged} = {cells[ragged]!r} is not a sequence")
+        raise InputError(f"row {ragged} has {lengths[ragged]} entries, expected {n}")
     # A line is Latin iff each value occurs once in it: count (line, value).
     line = np.arange(n)
     for lines, name, other in ((arr, "row", "columns"), (arr.T, "column", "rows")):

@@ -106,6 +106,8 @@ class VerificationReport:
         return min(mins) if mins else None
 
     def theorem_confirmed(self) -> bool:
+        if not all(b.excluded for b in self.analytic_exclusions):
+            return False
         smin = self.searched_minimum()
         return self.delta == self.threshold and (smin is None or smin >= self.threshold)
 
@@ -206,8 +208,6 @@ def complete_from_row(
     while x != e:
         x = sigma[x]
         steps += 1
-        if steps > p:  # defensive; a permutation orbit cannot overshoot
-            break
     if steps != p:
         raise NotPCycle(f"row is not a single {p}-cycle (orbit length {steps})")
     if sigma[e] != base.cells[h][e]:
@@ -234,19 +234,18 @@ def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complete_block(
-    p: int, hs: np.ndarray, positions: np.ndarray, sources: np.ndarray
+    p: int, h: int, positions: np.ndarray, sources: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi rows and the p-cycle mask for a block of patterns over the
-    canonical Z_p, pattern i modifying row hs[i].
+    canonical Z_p, each modifying the row of h.
 
     The row of h maps x to x + h; the element at exponent i is i*h, so the
     pattern writes (source + 1)*h at column position*h.  phi(k) is
     sigma^k(0); sigma is a single p-cycle iff no phi(k), 0 < k < p, is 0,
     and then the completed table is the transport of Z_p by phi.
     """
-    b = len(hs)
-    h = hs[:, None]
-    sigma = ((np.arange(p) + h) % p).astype(np.uint8)
+    b = len(positions)
+    sigma = np.tile(((np.arange(p) + h) % p).astype(np.uint8), (b, 1))
     sigma[np.arange(b)[:, None], positions * h % p] = (sources + 1) * h % p
     flat = sigma.ravel()
     offsets = np.arange(b) * p
@@ -277,41 +276,37 @@ def _phi_distances(p: int, phi: np.ndarray) -> np.ndarray:
 
 def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
     """Run every pattern of every row in rows, in enumeration order and in
-    blocks of _BLOCK, keeping the first minimizer (distance, index)."""
+    blocks of at most _BLOCK patterns of one row.  Blocks come in order, so
+    only a strictly smaller distance replaces the first minimizer."""
     positions, sources = _pattern_table(p, m)
-    per_row = len(positions)
-    total = per_row * len(rows)
-    row_of = np.asarray(rows, dtype=np.intp)
     completing = 0
-    best: Optional[tuple[int, int]] = None
-    for start in range(0, total, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, total))
-        j = idx % per_row
-        phi, ok = _complete_block(p, row_of[idx // per_row], positions[j], sources[j])
-        dvals = _phi_distances(p, phi[ok])
-        completing += len(dvals)
-        if len(dvals):
-            k = int(np.argmin(dvals))
-            entry = (int(dvals[k]), int(idx[ok][k]))
-            if best is None or entry < best:
-                best = entry
-    witness = None
-    if best is not None:
-        row, j = divmod(best[1], per_row)
-        nxt = REARRANGEMENTS[m][j % len(REARRANGEMENTS[m])]
-        witness = _pattern(p, rows[row], tuple(int(i) for i in positions[j]), nxt)
+    min_distance: Optional[int] = None
+    witness: Optional[PatternMod] = None
+    for h in rows:
+        for start in range(0, len(positions), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            phi, ok = _complete_block(p, h, positions[block], sources[block])
+            dvals = _phi_distances(p, phi[ok])
+            completing += len(dvals)
+            if len(dvals) and (min_distance is None or dvals.min() < min_distance):
+                k = int(np.argmin(dvals))
+                j = start + int(np.flatnonzero(ok)[k])
+                nxt = REARRANGEMENTS[m][j % len(REARRANGEMENTS[m])]
+                min_distance = int(dvals[k])
+                witness = _pattern(p, h, tuple(positions[j].tolist()), nxt)
     return MCase(
         m=m,
-        candidates_enumerated=total,
+        candidates_enumerated=len(positions) * len(rows),
         candidates_completing=completing,
-        min_distance=best[0] if best else None,
+        min_distance=min_distance,
         witness=witness,
     )
 
 
 def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport:
     """Verify stability 6p-18 for a prime 7 < p <= 31 by exhausting every
-    single-row pattern not excluded by the analytic bounds.
+    single-row pattern not excluded by the analytic bounds; an open m with
+    no pattern search is reported as not excluded, which fails the verdict.
 
     By default only the row h = 1 is modified; all_rows runs the p-1 times
     slower superset for consistency checking.
@@ -324,16 +319,14 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     rows = list(range(1, p)) if all_rows else [1]
     m_cases: list[MCase] = []
     exclusions: list[BoundReport] = []
-    for m in (3, 4):
+    # m = 6 stands for every m >= 6: all bounds grow with m, and the row
+    # floor alone already reaches 6(p-1) > 6p-18 there.
+    for m in range(3, 7):
         report = analytic_lower_bound(p, m)
-        if report.excluded:
+        if report.excluded or m not in REARRANGEMENTS:
             exclusions.append(report)
         else:
             m_cases.append(_search_m(p, m, rows))
-    exclusions.append(analytic_lower_bound(p, 5))
-    # m = 6 stands for every m >= 6: all bounds grow with m, and the row
-    # floor alone already reaches 6(p-1) > 6p-18 there.
-    exclusions.append(analytic_lower_bound(p, 6))
     tw_value, tw = min_transposition_mf(make_group(GroupKind.cyclic(p)))
     searched = [c.min_distance for c in m_cases if c.min_distance is not None]
     delta = min([tw_value] + searched)

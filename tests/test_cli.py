@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +459,26 @@ class TestVerifyAndOracle:
         doc = json.loads(out_path.read_text())
         assert doc["result"]["delta"] == 48
         assert doc["result"]["theorem_confirmed"] is True
+
+    @pytest.mark.parametrize(
+        "p,all_rows",
+        [(p, False) for p in (11, 13, 17, 19, 23, 29, 31)] + [(11, True), (13, True)],
+    )
+    def test_verify_json_pinned(self, capsys, p, all_rows):
+        # verify --json output pinned byte for byte, apart from runtime_ms
+        argv = ["verify", "--prime", str(p), "--json"] + (["--all-rows"] if all_rows else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        name = f"verify_p{p}{'_all_rows' if all_rows else ''}.json"
+        expected = (Path(__file__).parent / "golden" / name).read_text()
+        strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
+        assert strip(out) == strip(expected)
+
+    def test_verify_reports_unexcluded_m(self, capsys, m5_left_open):
+        code, out, _ = run(capsys, "verify", "--prime", "11")
+        assert code == 1
+        assert "  m=5: NOT excluded, best bound 40 < 48" in out.splitlines()
+        assert "NOT CONFIRMED" in out
 
     def test_verify_out_of_range(self, capsys):
         code, _, err = run(capsys, "verify", "--prime", "37")

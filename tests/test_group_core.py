@@ -135,7 +135,22 @@ class TestValidateTable:
         with pytest.raises(InputError, match=rf"^cell \(0,1\) = {2**63} outside 0..1$"):
             cd.validate_table([[0, 2**63], [1, 0]])
 
-    @pytest.mark.parametrize("kind", ["range", "row", "column", "identity", "ragged", "noninteger"])
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([[0, 1], 5], "row 1 = 5 is not a sequence"),
+            ([0, 1], "row 0 = 0 is not a sequence"),
+            ([[0, 2], None], "cell (0,1) = 2 outside 0..1"),
+            ([[0, 1, 2], [0], 1.5], "row 1 has 1 entries, expected 3"),
+        ],
+    )
+    def test_row_not_a_sequence(self, cells, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.validate_table(cells)
+
+    @pytest.mark.parametrize(
+        "kind", ["range", "row", "column", "identity", "ragged", "noninteger", "notrow"]
+    )
     def test_first_offender_matches_row_scan(self, kind):
         rng = random.Random(kind)
         raised = set()
@@ -155,6 +170,7 @@ class TestValidateTable:
         # the error each kind of breakage is built for comes up
         first_word = {"range": "cell", "row": "row", "column": "column", "identity": "no", "ragged": "row"}
         first_word["noninteger"] = "cell"
+        first_word["notrow"] = "row"
         assert first_word[kind] in raised
 
     def test_ingested_identity_need_not_be_zero(self):
@@ -188,6 +204,10 @@ def _broken_table(kind: str, rng: random.Random) -> list[list[int]]:
         cells[a][b] = rng.choice([0.5, 1.9, -0.5, float(cells[a][b]), "1", "a", None, [1]])
         if rng.random() < 0.5:
             cells[rng.randrange(n)][rng.randrange(n)] = n
+    elif kind == "notrow":  # a row that is a scalar, maybe after a bad cell
+        if rng.random() < 0.5:
+            cells[rng.randrange(n)][rng.randrange(n)] = n
+        cells[a] = rng.choice([0, n, None, 1.5])
     return cells
 
 

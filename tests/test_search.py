@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cayleydist as cd
+from cayleydist import search
 from cayleydist.errors import (
     InputError,
     NotPCycle,
@@ -106,7 +107,7 @@ class TestCompleteFromRow:
         for m in (3, 4):
             positions, sources = _pattern_table(11, m)
             for h in range(1, 11):
-                phis, ok = _complete_block(11, np.full(len(positions), h), positions, sources)
+                phis, ok = _complete_block(11, h, positions, sources)
                 dvals = iter(_phi_distances(11, phis[ok]))
                 pats = cd.enumerate_patterns(11, m, h=h)
                 for pat, phi, completes in zip(pats, phis, ok, strict=True):
@@ -132,6 +133,16 @@ class TestPrimeStabilityVerify:
         assert all(c.min_distance >= 48 for c in report.m_cases)
         assert {b.m for b in report.analytic_exclusions} == {5, 6}
 
+    def test_unexcluded_bound_refutes_theorem(self, m5_left_open):
+        # the open m is listed as not excluded, and the theorem is not
+        # confirmed although delta and the searches hold
+        report = cd.prime_stability_verify(11)
+        assert report.delta == 48 == report.threshold
+        assert {c.m for c in report.m_cases} == {3, 4}
+        assert [(b.m, b.excluded) for b in report.analytic_exclusions] == [(5, False), (6, True)]
+        assert not report.theorem_confirmed()
+        assert report.to_dict()["theorem_confirmed"] is False
+
     def test_p13_search_minimum(self):
         report = cd.prime_stability_verify(13)
         assert report.delta == 60
@@ -149,6 +160,15 @@ class TestPrimeStabilityVerify:
         report = cd.prime_stability_verify(23)
         assert {c.m for c in report.m_cases} == {3}
         assert {b.m for b in report.analytic_exclusions} == {4, 5, 6}
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_block_size_keeps_mcase(self, monkeypatch, block):
+        # blocks split each row, so the witness index must count the
+        # patterns of the earlier blocks (the m = 4 witness is pattern 7)
+        rows = list(range(1, 11))
+        expected = [_search_m(11, m, rows) for m in (3, 4)]
+        monkeypatch.setattr(search, "_BLOCK", block)
+        assert [_search_m(11, m, rows) for m in (3, 4)] == expected
 
     def test_m4_searched_directly_at_23(self):
         # The analytic exclusion of m = 4 at p = 23 needs l = 3 disjoint
@@ -182,11 +202,11 @@ class TestPrimeStabilityVerify:
         # completions and distances
         for m in (3, 4):
             positions, sources = _pattern_table(p, m)
-            phi1, ok1 = _complete_block(p, np.ones(len(positions), dtype=np.intp), positions, sources)
+            phi1, ok1 = _complete_block(p, 1, positions, sources)
             d1 = _phi_distances(p, phi1[ok1])
             assert ok1.any()
             for h in range(2, p):
-                phi, ok = _complete_block(p, np.full(len(positions), h), positions, sources)
+                phi, ok = _complete_block(p, h, positions, sources)
                 assert np.array_equal(phi, phi1.astype(np.intp) * h % p)
                 assert np.array_equal(ok, ok1)
                 assert np.array_equal(_phi_distances(p, phi[ok]), d1)
