@@ -205,13 +205,14 @@ def _cmd_reconstruct(args) -> CommandResult:
 
 def _cmd_bounds(args) -> CommandResult:
     report = analytic_lower_bound(args.p, args.m)
-    lines = [f"analytic bounds for p={args.p}, m={args.m} (threshold {6 * args.p - 18}):"]
+    result = report.to_dict()
+    lines = [f"analytic bounds for p={args.p}, m={args.m} (threshold {result['threshold']}):"]
     lines.extend(f"  {name} = {value}" for name, value in report.bounds)
     lines.append(f"  best = {report.best}, excluded = {report.excluded}")
     return CommandResult(
         command="bounds",
         params={"p": args.p, "m": args.m},
-        result=report.to_dict(),
+        result=result,
         text="\n".join(lines),
     )
 

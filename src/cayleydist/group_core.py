@@ -2,8 +2,9 @@
 
 Tables are immutable dataclasses; every constructor either builds a table
 that is a group by construction (make_group, transport) or runs the full
-validation pass (validate_table).  Identity is located by scan -- ingested
-tables need not place it at 0.
+validation pass (validate_table), and all three return a table whose array
+is already set.  validate_table rejects an input that is not a sequence of
+rows.  Identity is located by scan -- ingested tables need not place it at 0.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -177,11 +178,9 @@ class GroupTable:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The cells as a read-only (n, n) np.intp array, built on first use.
-
-        It is not a field, so equality and hashing stay on (n, cells,
-        identity).
-        """
+        """The cells as a read-only (n, n) np.intp array; not a field, so
+        equality and hashing stay on (n, cells, identity).  _from_array sets
+        it; a table made by the constructor builds it on first use."""
         arr = np.array(self.cells, dtype=np.intp)
         arr.setflags(write=False)
         return arr
@@ -222,11 +221,7 @@ class GroupTable:
         return tuple(sorted(self.orders))
 
     def is_abelian(self) -> bool:
-        return all(
-            self.cells[a][b] == self.cells[b][a]
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-        )
+        return bool((self.array == self.array.T).all())
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -259,22 +254,17 @@ class GroupTable:
 def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     """Check the Latin property, a unique two-sided identity, associativity.
 
-    Raises NotLatin / NoIdentity / NotAssociative naming the first offender.
-    Each pass runs on the whole array; Python walks only the offending row
-    or column, to name the offender as a row-major scan would.
+    Raises InputError for an input that is not a sequence of rows, and
+    InputError / NotLatin / NoIdentity / NotAssociative naming the first
+    offender.  Each pass runs on the whole array; Python walks only the
+    offending row or column, to name the offender as a row-major scan would.
     """
+    if not _is_sequence(cells):
+        raise InputError(f"table {cells!r} is not a sequence of rows")
     n = len(cells)
     if n == 0:
         raise InputError("empty table")
-    lengths = [len(row) if hasattr(row, "__len__") else None for row in cells]
-    ragged = next((a for a, k in enumerate(lengths) if k != n), n)
-    # The type and range pass covers the rows before a ragged one, as a
-    # row-by-row scan would reach them first.
-    arr = _cell_array(cells[:ragged], n)
-    if ragged < n:
-        if lengths[ragged] is None:
-            raise InputError(f"row {ragged} = {cells[ragged]!r} is not a sequence")
-        raise InputError(f"row {ragged} has {lengths[ragged]} entries, expected {n}")
+    arr = _cell_array(cells, n)
     # A line is Latin iff each value occurs once in it: count (line, value).
     line = np.arange(n)
     for lines, name, other in ((arr, "row", "columns"), (arr.T, "column", "rows")):
@@ -308,52 +298,61 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     return t
 
 
-def _cell_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """rows as a (len(rows), n) np.intp array of values in 0..n-1.
+def _is_sequence(x: object) -> bool:
+    """A Sequence other than str and bytes, or an array of rank >= 1."""
+    return not isinstance(x, (str, bytes)) and (isinstance(x, Sequence) or np.ndim(x) > 0)
 
-    Raises InputError at the row-major first cell that is not an integer
-    (ints, numpy integers and bools are) or lies outside 0..n-1.
+
+def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """cells as an (n, n) np.intp array of values in 0..n-1.
+
+    Raises InputError at the first offender of a row-major scan: a row that
+    is not a sequence, a row without n entries, a cell that is not an
+    integer (ints, numpy integers and bools are) or lies outside 0..n-1.
     """
     try:
-        arr = np.array(rows)
-    except ValueError:  # a cell holds a sequence
+        arr = np.array(cells)
+    except ValueError:  # ragged rows, or a cell holds a sequence
         arr = np.empty(0)
-    if arr.shape == (len(rows), n) and np.can_cast(arr.dtype, np.intp):
+    if arr.shape == (n, n) and np.can_cast(arr.dtype, np.intp):
         arr = arr.astype(np.intp, copy=False)
         if ((arr >= 0) & (arr < n)).all():
             return arr
     # The input values, not a converted array: numpy infers float64 for
     # [0, 2**63] and truncates a float cast to an integer dtype.
-    for a, row in enumerate(rows):
+    for a, row in enumerate(cells):
+        if not _is_sequence(row):
+            raise InputError(f"row {a} = {row!r} is not a sequence")
+        if len(row) != n:
+            raise InputError(f"row {a} has {len(row)} entries, expected {n}")
         for b, v in enumerate(row):
             if not isinstance(v, (int, np.integer, np.bool_)):
                 raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
             if not 0 <= v < n:
                 raise InputError(f"cell ({a},{b}) = {int(v)} outside 0..{n - 1}")
-    return np.array(rows, dtype=np.intp).reshape(-1, n)
+    return np.array(cells, dtype=np.intp)
 
 
-def _dihedral_mul(k: int, a: int, b: int) -> int:
+def _dihedral_mul(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # 0..k-1 are rotations r^i, k..2k-1 are reflections r^i s.
-    ai, ar = a % k, a >= k
-    bi, br = b % k, b >= k
-    ci = (ai - bi) % k if ar else (ai + bi) % k
-    return ci + (k if ar != br else 0)
+    ar = a >= k
+    return np.where(ar, a - b, a + b) % k + k * (ar != (b >= k))
 
 
-def _quaternion8_mul(_: int, a: int, b: int) -> int:
+def _quaternion8_mul(_: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # index = i + 4j for a^i b^j with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1.
     i, j = a % 4, a // 4
     k2, l = b % 4, b // 4
-    exp = (i + (-k2 if j else k2) + (2 if j and l else 0)) % 4
+    exp = (i + np.where(j, -k2, k2) + 2 * j * l) % 4
     return exp + 4 * ((j + l) % 2)
 
 
 # family -> (label token, order from param, mul(param, a, b)); identity 0.
+# mul runs once per table, on index arrays a[:, None] and a, for all cells.
 # Each family is named after its GroupKind constructor, and a token without
 # "{}" names a family that takes no param.  direct_product, built from its
 # factors, is the one family outside the table.
-_Family = tuple[str, Callable[[int], int], Callable[[int, int, int], int]]
+_Family = tuple[str, Callable[[int], int], Callable[..., np.ndarray]]
 _FAMILIES: dict[str, _Family] = {
     "cyclic": ("cyclic:{}", lambda n: n, lambda n, a, b: (a + b) % n),
     "dihedral": ("dihedral:{}", lambda k: 2 * k, _dihedral_mul),
@@ -436,18 +435,15 @@ class GroupKind:
 
 def make_group(kind: GroupKind) -> GroupTable:
     """Canonical table for a catalog kind; identity is always element 0."""
+    a = np.arange(kind.order, dtype=np.intp)
     if kind.family == "direct_product":
-        t1, t2 = (make_group(f) for f in kind.factors)
-        n2 = t2.n
-
-        def mul(a: int, b: int) -> int:
-            return t1.cells[a // n2][b // n2] * n2 + t2.cells[a % n2][b % n2]
-
+        # (a1, a2) * (b1, b2) = (a1 b1, a2 b2), with (x1, x2) = x1 * n2 + x2.
+        t1, t2 = (make_group(f).array for f in kind.factors)
+        q, r = divmod(a, len(t2))
+        arr = t1[np.ix_(q, q)] * len(t2) + t2[np.ix_(r, r)]
     else:
-        mul = partial(_family(kind.family)[2], kind.param)
-    n = kind.order
-    cells = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-    return GroupTable(n=n, cells=cells, identity=0)
+        arr = _family(kind.family)[2](kind.param, a[:, None], a)
+    return GroupTable._from_array(arr, identity=0)
 
 
 def transport(t: GroupTable, f: Permutation) -> GroupTable:
@@ -547,26 +543,26 @@ def is_dihedral_twice_odd(t: GroupTable) -> bool:
     return k in t.orders and t.orders.count(2) == k
 
 
+# Every isomorphism class of order 1..MAX_BRUTE_ORDER, in oracle label order.
+_CATALOG: dict[int, tuple[GroupKind, ...]] = {
+    n: tuple(map(GroupKind.parse, labels.split()))
+    for n, labels in {
+        1: "cyclic:1",
+        2: "cyclic:2",
+        3: "cyclic:3",
+        4: "cyclic:4 e2:2",
+        5: "cyclic:5",
+        6: "cyclic:6 dihedral:3",
+        7: "cyclic:7",
+        8: "cyclic:8 cyclic:4*cyclic:2 e2:3 dihedral:4 q8",
+    }.items()
+}
+
+
 def groups_of_order(n: int) -> list[GroupKind]:
     """All isomorphism classes of order n, for n <= 8."""
     if n < 1:
         raise InputError(f"order must be >= 1, got {n}")
-    table: dict[int, list[GroupKind]] = {
-        1: [GroupKind.cyclic(1)],
-        2: [GroupKind.cyclic(2)],
-        3: [GroupKind.cyclic(3)],
-        4: [GroupKind.cyclic(4), GroupKind.elementary_abelian(2)],
-        5: [GroupKind.cyclic(5)],
-        6: [GroupKind.cyclic(6), GroupKind.dihedral(3)],
-        7: [GroupKind.cyclic(7)],
-        8: [
-            GroupKind.cyclic(8),
-            GroupKind.direct_product(GroupKind.cyclic(4), GroupKind.cyclic(2)),
-            GroupKind.elementary_abelian(3),
-            GroupKind.dihedral(4),
-            GroupKind.quaternion8(),
-        ],
-    }
-    if n not in table:
+    if n not in _CATALOG:
         raise OrderTooLarge(f"catalog covers orders 1..8, got {n}")
-    return table[n]
+    return list(_CATALOG[n])

@@ -116,7 +116,7 @@ def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
     """
     n = a.n
     prof = dist(a, b)
-    K = [g for g, d in enumerate(prof.row) if 3 * d < n]
+    K = light_set(a, b)
     if 4 * len(K) <= 3 * n:
         raise HypothesisNotMet(f"|K| = {len(K)} <= 3n/4 = {3 * n / 4:g}")
     f = [-1] * n
@@ -341,6 +341,8 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
     Checks: the triple row-sum inequality at every disagreeing cell, the
     impossibility of row distance 2 at odd order (and 1 at any order), and
     identity coincidence for isomorphic pairs with total <= 6n-18 at n > 7.
+    That last check runs only at prime n and at n = 8: at composite n >= 9
+    isomorphism is not decided above MAX_BRUTE_ORDER, so it is skipped.
     A non-empty result on valid group inputs indicates an implementation bug.
     """
     mismatch = _mismatches(a, b)

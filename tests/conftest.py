@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -139,6 +140,46 @@ def switched_intercalate(k: int, rng: random.Random) -> list[list[int]]:
     for x in (a, a + k):
         cells[x][b], cells[x][b + k] = cells[x][b + k], cells[x][b]
     return cells
+
+
+def _oracle_dihedral_mul(k: int, a: int, b: int) -> int:
+    # 0..k-1 are rotations r^i, k..2k-1 are reflections r^i s.
+    ai, ar = a % k, a >= k
+    bi, br = b % k, b >= k
+    ci = (ai - bi) % k if ar else (ai + bi) % k
+    return ci + (k if ar != br else 0)
+
+
+def _oracle_quaternion8_mul(_: int, a: int, b: int) -> int:
+    # index = i + 4j for a^i b^j with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1.
+    i, j = a % 4, a // 4
+    k2, l = b % 4, b // 4
+    exp = (i + (-k2 if j else k2) + (2 if j and l else 0)) % 4
+    return exp + 4 * ((j + l) % 2)
+
+
+_ORACLE_MUL = {
+    "cyclic": lambda n, a, b: (a + b) % n,
+    "dihedral": _oracle_dihedral_mul,
+    "elementary_abelian": lambda _, a, b: a ^ b,
+    "quaternion8": _oracle_quaternion8_mul,
+}
+
+
+def oracle_make_group(kind: cd.GroupKind) -> cd.GroupTable:
+    """make_group as a scalar mul(a, b) evaluated cell by cell."""
+    if kind.family == "direct_product":
+        t1, t2 = (oracle_make_group(f) for f in kind.factors)
+        n2 = t2.n
+
+        def mul(a: int, b: int) -> int:
+            return t1.cells[a // n2][b // n2] * n2 + t2.cells[a % n2][b % n2]
+
+    else:
+        mul = partial(_ORACLE_MUL[kind.family], kind.param)
+    n = kind.order
+    cells = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    return cd.GroupTable(n=n, cells=cells, identity=0)
 
 
 def oracle_transport(t: cd.GroupTable, f: cd.Permutation) -> cd.GroupTable:

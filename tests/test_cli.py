@@ -536,3 +536,14 @@ class TestOracle:
             "result": {{"all": "delta"}.get(scope, scope): value},
             "witnesses": {"pair": [[list(r) for r in wa.cells], [list(r) for r in wb.cells]]},
         }
+
+    @pytest.mark.parametrize("scope", ["all", "mu", "nu"])
+    def test_oracle_order8_json_pinned(self, capsys, scope):
+        # all_group_tables(8) and kind_stability read make_group's arrays;
+        # the order-8 output is pinned byte for byte, apart from runtime_ms
+        argv = ["oracle", "--order", "8", "--scope", scope, "--allow-slow", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        expected = (Path(__file__).parent / "golden" / f"oracle_n8_{scope}.json").read_text()
+        strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
+        assert strip(out) == strip(expected)

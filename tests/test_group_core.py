@@ -24,6 +24,7 @@ from conftest import (
     oracle_first_invalid,
     oracle_first_nonassociative,
     oracle_is_dihedral_twice_odd,
+    oracle_make_group,
     random_permutation,
     reduced_loops,
     switched_intercalate,
@@ -149,6 +150,24 @@ class TestValidateTable:
             cd.validate_table(cells)
 
     @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (5, "table 5 is not a sequence of rows"),
+            (None, "table None is not a sequence of rows"),
+            (np.array(5), "table array(5) is not a sequence of rows"),
+            ("ab", "table 'ab' is not a sequence of rows"),
+            (b"ab", "table b'ab' is not a sequence of rows"),
+            ({0: [0]}, "table {0: [0]} is not a sequence of rows"),
+            (np.arange(2), f"row 0 = {np.arange(2)[0]!r} is not a sequence"),
+            ([[0, 1], "10"], "row 1 = '10' is not a sequence"),
+            ([[0, 1], {0: 1, 1: 0}], "row 1 = {0: 1, 1: 0} is not a sequence"),
+        ],
+    )
+    def test_table_not_a_sequence_of_rows(self, cells, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.validate_table(cells)
+
+    @pytest.mark.parametrize(
         "kind", ["range", "row", "column", "identity", "ragged", "noninteger", "notrow"]
     )
     def test_first_offender_matches_row_scan(self, kind):
@@ -226,18 +245,20 @@ class TestGroupTableArray:
             moved.array[1] = 0
 
     def test_not_part_of_equality_or_hash(self):
-        built, bare = cyclic(9), cyclic(9)
+        built = cyclic(9)
+        bare = cd.GroupTable(built.n, built.cells, built.identity)
         built.array
         assert "array" in vars(built) and "array" not in vars(bare)
         assert built == bare and hash(built) == hash(bare)
         assert {built: 1}[bare] == 1
 
     def test_set_by_validate_table_and_transport(self):
+        # and by make_group
         rng = random.Random(5)
         for t in (cyclic(7), dihedral(4)):
             moved = cd.transport(t, random_permutation(t.n, rng))
             again = cd.validate_table([list(r) for r in moved.cells])
-            for out in (moved, again):
+            for out in (t, moved, again):
                 assert "array" in vars(out)
                 assert not out.array.flags.writeable
                 assert np.array_equal(out.array, np.array(out.cells))
@@ -288,6 +309,23 @@ class TestMakeGroup:
         t = cd.make_group(kind)
         again = cd.validate_table([list(r) for r in t.cells])
         assert again == t
+
+    def test_matches_cell_by_cell_oracle(self):
+        atoms = (
+            [cd.GroupKind.cyclic(n) for n in range(1, 60)]
+            + [cd.GroupKind.dihedral(k) for k in range(1, 40)]
+            + [cd.GroupKind.elementary_abelian(k) for k in range(7)]
+            + [cd.GroupKind.quaternion8()]
+        )
+        # every pair of catalog kinds of order 2..8, (c4*c2)*(c4*c2) included
+        small = [kind for n in range(2, 9) for kind in cd.groups_of_order(n)]
+        products = [cd.GroupKind.direct_product(a, b) for a in small for b in small]
+        for kind in atoms + products:
+            t, expected = cd.make_group(kind), oracle_make_group(kind)
+            assert t == expected and t.n == kind.order, kind
+            assert "array" in vars(t) and not t.array.flags.writeable, kind
+            assert t.array.dtype == np.intp and np.array_equal(t.array, np.array(expected.cells))
+            assert all(type(v) is int for row in t.cells for v in row), kind
 
     def test_kind_parsing_roundtrip(self):
         for text in ["cyclic:7", "dihedral:5", "e2:3", "q8", "cyclic:4*cyclic:2"]:
