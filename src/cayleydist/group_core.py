@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -239,16 +239,16 @@ class GroupTable:
             raise InputError(f"first line must be the order n, got {lines[0]!r}") from exc
         if len(lines) != n + 1:
             raise InputError(f"expected {n} table rows, got {len(lines) - 1}")
-        cells = []
-        for idx, ln in enumerate(lines[1:]):
-            try:
-                row = [int(tok) for tok in ln.split()]
-            except ValueError as exc:
-                raise InputError(f"row {idx}: non-integer token in {ln!r}") from exc
-            if len(row) != n:
-                raise InputError(f"row {idx}: expected {n} entries, got {len(row)}")
-            cells.append(row)
-        return validate_table(cells)
+        # A token that is not an integer stays a str, which validate_table
+        # names as a non-integer cell in its row-major scan.
+        return validate_table([[_int_or_token(tok) for tok in ln.split()] for ln in lines[1:]])
+
+
+def _int_or_token(tok: str) -> int | str:
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
 
 
 def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
@@ -511,23 +511,33 @@ def _hom_from_generators(
     return Permutation(tuple(f))
 
 
-def are_isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, Optional[Permutation]]:
-    """Exhaustive generator-image isomorphism search, up to MAX_BRUTE_ORDER."""
-    if a.n != b.n:
-        return False, None
+def _isomorphisms(a: GroupTable, b: GroupTable) -> Iterator[Permutation]:
+    """Every isomorphism from a to b, each once, by exhaustive search over
+    the images of a's generating sequence; none unless the order profiles
+    agree.  Raises OrderTooLarge above MAX_BRUTE_ORDER."""
     if a.n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"isomorphism search capped at order {MAX_BRUTE_ORDER}, got {a.n}")
     if a.order_profile() != b.order_profile():
-        return False, None
+        return
     gens = generating_sequence(a)
-    if not gens:
-        return True, Permutation.identity(a.n)
     candidates = [[x for x, o in enumerate(b.orders) if o == a.orders[g]] for g in gens]
     for images in itertools.product(*candidates):
         f = _hom_from_generators(a, b, gens, images)
         if f is not None:
-            return True, f
-    return False, None
+            yield f
+
+
+def are_isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, Optional[Permutation]]:
+    """Exhaustive generator-image isomorphism search, up to MAX_BRUTE_ORDER."""
+    if a.n != b.n:
+        return False, None
+    f = next(_isomorphisms(a, b), None)
+    return f is not None, f
+
+
+def automorphisms(t: GroupTable) -> list[Permutation]:
+    """Aut(t), up to MAX_BRUTE_ORDER: the f with transport(t, f) == t."""
+    return list(_isomorphisms(t, t))
 
 
 def is_dihedral_twice_odd(t: GroupTable) -> bool:

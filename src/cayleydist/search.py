@@ -3,7 +3,8 @@
 Two kinds of machinery live here: the single-row pattern search that pins
 down the stability of prime-order cyclic groups at 11 <= p <= 31, and the
 small-order brute-force oracle that enumerates every group table on
-{0..n-1} by transporting the catalog groups through all n! permutations.
+{0..n-1} by transporting each catalog group G through one permutation per
+coset of Aut(G).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .group_core import (
     GroupKind,
     GroupTable,
     Permutation,
+    automorphisms,
     groups_of_order,
     is_prime,
     make_group,
@@ -255,23 +257,33 @@ def _complete_block(
     return walk.T, (walk[1:] != 0).all(axis=0)
 
 
-def _phi_distances(p: int, phi: np.ndarray) -> np.ndarray:
+def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The cells (x, y, (x + y) % p) that _phi_distances checks: first the
+    diagonal 0 < x = y, then 0 < x < y."""
+    diag = np.arange(1, p)
+    x, y = np.triu_indices(p - 1, k=1)
+    x, y = x + 1, y + 1
+    return (diag, diag, 2 * diag % p), (x, y, (x + y) % p)
+
+
+def _phi_distances(
+    p: int, phi: np.ndarray, cells: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+) -> np.ndarray:
     """Exact distance from Z_p to its transport by each phi row: the
     number of cells (x, y) with phi(x + y) != phi(x) + phi(y) mod p.
 
     Both sides are symmetric in x and y and agree when x or y is 0
-    (phi(0) = 0), so only 0 < x <= y is checked and a pair x < y counts
-    for two cells.
+    (phi(0) = 0), so only the cells of _distance_cells(p) are checked, and
+    a pair x < y counts for two cells.
     """
 
-    def mismatches(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def mismatches(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
         t = phi[:, x] + phi[:, y]  # < 2p <= 62, so uint8 cannot wrap
-        t -= phi[:, (x + y) % p]  # a cell that agrees leaves 0 or p
+        t -= phi[:, xy]  # a cell that agrees leaves 0 or p
         return np.count_nonzero((t != 0) & (t != p), axis=1)
 
-    diag = np.arange(1, p)
-    x, y = np.triu_indices(p - 1, k=1)
-    return mismatches(diag, diag) + 2 * mismatches(x + 1, y + 1)
+    diag, upper = cells
+    return mismatches(*diag) + 2 * mismatches(*upper)
 
 
 def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
@@ -279,6 +291,7 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
     blocks of at most _BLOCK patterns of one row.  Blocks come in order, so
     only a strictly smaller distance replaces the first minimizer."""
     positions, sources = _pattern_table(p, m)
+    cells = _distance_cells(p)
     completing = 0
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
@@ -286,7 +299,7 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
         for start in range(0, len(positions), _BLOCK):
             block = slice(start, start + _BLOCK)
             phi, ok = _complete_block(p, h, positions[block], sources[block])
-            dvals = _phi_distances(p, phi[ok])
+            dvals = _phi_distances(p, phi[ok], cells)
             completing += len(dvals)
             if len(dvals) and (min_distance is None or dvals.min() < min_distance):
                 k = int(np.argmin(dvals))
@@ -341,38 +354,61 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     )
 
 
+def _lex_permutations(n: int) -> np.ndarray:
+    """All n! permutations of 0..n-1 as an (n!, n) uint8 array, in the
+    lexicographic order of itertools.permutations(range(n))."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        # Each first value i, then the permutations of k-1 values in order,
+        # mapped onto 0..k-1 without i.
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (k, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
+    return perms
+
+
 @lru_cache(maxsize=4)
 def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...]]:
-    """Every group table on {0..n-1}, deduplicated, with iso-class labels.
+    """Every group table on {0..n-1}, each once, with iso-class labels.
 
     Returns (tables (N, n, n) uint8, labels (N,) int, kinds) where
     labels[i] indexes into kinds.  Tables are the transports
-    f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G through all n!
-    permutations f, kind by kind in catalog order; each table is kept at
-    its first occurrence.
+    f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G, kind by kind in
+    catalog order and within a kind in the lexicographic order of f, each
+    table at its first f.  Two f give one table iff they lie in one coset
+    f Aut(G), so each kind has n! / |Aut(G)| tables, and only the first f
+    of each coset is transported.
     """
     kinds = tuple(groups_of_order(n))
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
-    nperms = len(perms)
-    pinv = np.argsort(perms, axis=1).astype(np.uint8)
-    # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of the
-    # row of f in perms; n*n <= 64 keeps the first in uint8.
-    cell_idx = (pinv[:, :, None] * np.uint8(n) + pinv[:, None, :]).reshape(nperms, n * n)
-    perm_row = np.arange(nperms)[:, None] * n
-    transported = np.concatenate(
-        [
-            perms.take(make_group(kind).array.astype(np.uint8).take(cell_idx) + perm_row)
-            for kind in kinds
-        ]
-    )
-    keys = transported.view(np.dtype((np.void, n * n))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return transported[first].reshape(-1, n, n), first // nperms, kinds
+    perms = _lex_permutations(n)
+    tables = []
+    for kind in kinds:
+        g = make_group(kind)
+        # f is lexicographically before f.alpha iff f(i) < f(alpha(i)) at
+        # the first point i that alpha moves; f is first in its coset iff
+        # that holds for every automorphism alpha != id.
+        pairs = {
+            next((i, v) for i, v in enumerate(alpha.image) if v != i)
+            for alpha in automorphisms(g)
+            if not alpha.is_identity()
+        }
+        keep = np.ones(len(perms), dtype=bool)
+        for i, j in pairs:
+            keep &= perms[:, i] < perms[:, j]
+        reps = perms[keep]
+        rinv = np.argsort(reps, axis=1).astype(np.uint8)
+        # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of
+        # the row of f in reps; n*n <= 64 keeps the first in uint8.
+        cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(len(reps), n * n)
+        rep_row = np.arange(len(reps))[:, None] * n
+        tables.append(reps.take(g.array.astype(np.uint8).take(cell_idx) + rep_row))
+    labels = np.repeat(np.arange(len(kinds)), [len(t) for t in tables])
+    return np.concatenate(tables).reshape(-1, n, n), labels, kinds
 
 
 def distinct_table_counts(n: int) -> dict[str, int]:
-    """Number of distinct tables per isomorphism class (n! / |Aut|)."""
+    """Number of distinct tables per isomorphism class, n! / |Aut G|."""
     _, labels, kinds = all_group_tables(n)
     return {
         kind.label(): int(np.count_nonzero(labels == i))

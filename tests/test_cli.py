@@ -270,6 +270,25 @@ class TestBasicCommands:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2 and "row 0" in err
 
+    @pytest.mark.parametrize(
+        "text,cells,message",
+        [
+            ("3\n0 1 2\n1 2\n2 0 1\n", [[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has 2 entries, expected 3"),
+            ("2\n0 x\n1 0\n", [[0, "x"], [1, 0]], "cell (0,1) = 'x' is not an integer"),
+            ("2\nx\n1 y\n", [["x"], [1, "y"]], "row 0 has 1 entries, expected 2"),
+        ],
+        ids=["short_row", "bad_token", "short_row_first"],
+    )
+    def test_table_file_fault_reads_as_validate_table(self, capsys, tmp_path, text, cells, message):
+        with pytest.raises(cd.InputError) as lib:
+            cd.validate_table(cells)
+        assert str(lib.value) == message
+        path = tmp_path / "bad.tbl"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_dist_paper_pair(self, capsys, z7_file, z7f_file):
         code, out, _ = run(capsys, "dist", z7_file, z7f_file)
         assert code == 0 and "dist = 18" in out

@@ -423,6 +423,21 @@ class TestIsomorphism:
         z9 = cyclic(MAX_BRUTE_ORDER + 1)
         with pytest.raises(OrderTooLarge, match="^isomorphism search capped at order 8, got 9$"):
             cd.are_isomorphic(z9, z9)
+        with pytest.raises(OrderTooLarge, match="^isomorphism search capped at order 8, got 9$"):
+            cd.automorphisms(z9)
+
+    @pytest.mark.parametrize("n", range(1, MAX_BRUTE_ORDER + 1))
+    def test_automorphisms_match_brute_force(self, n):
+        # transport(G, f) == G iff f(a * b) = f(a) * f(b) for every cell,
+        # checked here for all n! permutations f at once
+        perms = np.array(list(itertools.permutations(range(n))))
+        for kind in cd.groups_of_order(n):
+            g = cd.make_group(kind)
+            fixed = (perms[:, g.array] == g.array[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+            auts = cd.automorphisms(g)
+            assert len(auts) == np.count_nonzero(fixed)  # each automorphism once
+            assert {f.image for f in auts} == set(map(tuple, perms[fixed].tolist()))
+            assert all(cd.transport(g, f) == g for f in auts)
 
     def test_prime_order_tables_are_cyclic(self):
         tables, labels, kinds = cd.search.all_group_tables(5)

@@ -16,6 +16,8 @@ from cayleydist.errors import (
 )
 from cayleydist.search import (
     _complete_block,
+    _distance_cells,
+    _lex_permutations,
     _pattern_table,
     _phi_distances,
     _search_m,
@@ -108,7 +110,7 @@ class TestCompleteFromRow:
             positions, sources = _pattern_table(11, m)
             for h in range(1, 11):
                 phis, ok = _complete_block(11, h, positions, sources)
-                dvals = iter(_phi_distances(11, phis[ok]))
+                dvals = iter(_phi_distances(11, phis[ok], _distance_cells(11)))
                 pats = cd.enumerate_patterns(11, m, h=h)
                 for pat, phi, completes in zip(pats, phis, ok, strict=True):
                     sigma = cd.apply_pattern(pat, z11)
@@ -203,13 +205,14 @@ class TestPrimeStabilityVerify:
         for m in (3, 4):
             positions, sources = _pattern_table(p, m)
             phi1, ok1 = _complete_block(p, 1, positions, sources)
-            d1 = _phi_distances(p, phi1[ok1])
+            cells = _distance_cells(p)
+            d1 = _phi_distances(p, phi1[ok1], cells)
             assert ok1.any()
             for h in range(2, p):
                 phi, ok = _complete_block(p, h, positions, sources)
                 assert np.array_equal(phi, phi1.astype(np.intp) * h % p)
                 assert np.array_equal(ok, ok1)
-                assert np.array_equal(_phi_distances(p, phi[ok]), d1)
+                assert np.array_equal(_phi_distances(p, phi[ok], cells), d1)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_all_rows_mcase_matches_slow_path(self, p):
@@ -294,6 +297,19 @@ class TestBruteDelta:
             "dihedral:4": 5040,
             "q8": 1680,
         }
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_distinct_table_counts_are_coset_counts(self, n):
+        counts = cd.distinct_table_counts(n)
+        for kind in cd.groups_of_order(n):
+            aut = cd.automorphisms(cd.make_group(kind))
+            assert counts[kind.label()] * len(aut) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lex_permutations_match_itertools(self, n):
+        perms = _lex_permutations(n)
+        assert perms.dtype == np.uint8
+        assert np.array_equal(perms, np.array(list(itertools.permutations(range(n)))))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_group_tables_matches_oracle(self, n):
