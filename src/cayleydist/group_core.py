@@ -453,8 +453,8 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
     img = np.asarray(f.image, dtype=np.intp)
     finv = np.empty_like(img)
     finv[img] = np.arange(t.n)
-    # t.array[finv[:, None], finv], built faster by two takes.
-    arr = img[t.array.take(finv, 0).take(finv, 1)]
+    # img[t.array[finv[:, None], finv]], built faster by takes.
+    arr = img.take(t.array.take(finv, 0).take(finv, 1))
     return GroupTable._from_array(arr, identity=f.image[t.identity])
 
 
@@ -497,34 +497,37 @@ def generating_sequence(t: GroupTable) -> list[int]:
     return gens
 
 
-def _hom_from_generators(
-    a: GroupTable, b: GroupTable, gens: Sequence[int], images: Sequence[int]
-) -> Optional[Permutation]:
-    """The map sending gens[i] to images[i], extended along the walk of
-    _span; None unless gens span a and the map is an isomorphism."""
-    f = [-1] * a.n
+def _homs_from_generators(
+    a: GroupTable, b: GroupTable, gens: Sequence[int], images: np.ndarray
+) -> np.ndarray:
+    """The isomorphisms from a to b among the maps that send gens to a row
+    of images, a (K, len(gens)) array, and extend along the walk of _span:
+    a (K', a.n) array, in the order of images.  An element the walk does
+    not reach stays -1, so no map is kept unless gens span a."""
+    f = np.full((len(images), a.n), -1, dtype=np.intp)
     for y, (x, i) in _span(a, gens).items():
-        f[y] = b.identity if x < 0 else b.cells[f[x]][images[i]]
-    fa = np.array(f)
-    if -1 in f or len(set(f)) != a.n or (fa[a.array] != b.array[fa[:, None], fa]).any():
-        return None
-    return Permutation(tuple(f))
+        f[:, y] = b.identity if x < 0 else b.array[f[:, x], images[:, i]]
+    hom = (f[:, a.array] == b.array[f[:, :, None], f[:, None, :]]).all(axis=(1, 2))
+    # A homomorphism between groups of one order is bijective iff its kernel is trivial.
+    return f[hom & (f >= 0).all(axis=1) & ((f == b.identity).sum(axis=1) == 1)]
 
 
 def _isomorphisms(a: GroupTable, b: GroupTable) -> Iterator[Permutation]:
     """Every isomorphism from a to b, each once, by exhaustive search over
-    the images of a's generating sequence; none unless the order profiles
-    agree.  Raises OrderTooLarge above MAX_BRUTE_ORDER."""
+    the images of a's generating sequence: every tuple of same-order
+    images, extended to a map in one array walk, in itertools.product
+    order; none unless the order profiles agree.  Raises OrderTooLarge
+    above MAX_BRUTE_ORDER."""
     if a.n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"isomorphism search capped at order {MAX_BRUTE_ORDER}, got {a.n}")
     if a.order_profile() != b.order_profile():
         return
     gens = generating_sequence(a)
     candidates = [[x for x, o in enumerate(b.orders) if o == a.orders[g]] for g in gens]
-    for images in itertools.product(*candidates):
-        f = _hom_from_generators(a, b, gens, images)
-        if f is not None:
-            yield f
+    # Profiles agree, so each gen has a candidate: one row per product tuple.
+    images = np.array(list(itertools.product(*candidates)), dtype=np.intp)
+    for f in _homs_from_generators(a, b, gens, images).tolist():
+        yield Permutation(tuple(f))
 
 
 def are_isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, Optional[Permutation]]:

@@ -82,9 +82,11 @@ def hom_distance(f: MapLike, h: GroupTable, k: GroupTable) -> int:
     img = _images(f)
     if len(img) != h.n:
         raise DimensionMismatch(f"map has {len(img)} entries, table order {h.n}")
-    for v in img:
-        if not 0 <= v < k.n:
-            raise InputError(f"map image {v} outside 0..{k.n - 1}")
+    # A permutation's images lie in 0..h.n-1 already.
+    if not (isinstance(f, Permutation) and h.n <= k.n):
+        for v in img:
+            if not 0 <= v < k.n:
+                raise InputError(f"map image {v} outside 0..{k.n - 1}")
     fi = np.asarray(img, dtype=np.intp)
     # k.array[fi[:, None], fi] holds f(a)*f(b); two takes build it faster.
     return int(np.count_nonzero(fi[h.array] != k.array.take(fi, 0).take(fi, 1)))
@@ -230,11 +232,6 @@ def _transposition_mf(
     return holding[u] + holding[v] + acc.sum(axis=1)
 
 
-def estim1_bound(n: int, m: int) -> int:
-    """ceil(n/4)*ceil(n/3) + (n - ceil(n/4) - 1)*m: estim2's second bound at l = 0."""
-    return estim2_bounds(n, m, 0)[1]
-
-
 def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:
     """The two lower bounds from an l-element subset Y with Y and h.Y disjoint.
 
@@ -348,23 +345,23 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
     mismatch = _mismatches(a, b)
     n = a.n
     d = mismatch.sum(axis=1)
-    total = int(d.sum())
+    rows = d.tolist()
+    total = sum(rows)
     out: list[LemmaViolation] = []
-    for g, dg in enumerate(d.tolist()):
-        if dg == 1:
-            out.append(LemmaViolation("row_distance_one", {"g": g}))
-        if dg == 2 and n % 2 == 1:
-            out.append(LemmaViolation("row_distance_two", {"g": g}))
+    if 1 in rows or (n % 2 == 1 and 2 in rows):
+        for g, dg in enumerate(rows):
+            if dg == 1 or (dg == 2 and n % 2 == 1):
+                name = "row_distance_one" if dg == 1 else "row_distance_two"
+                out.append(LemmaViolation(name, {"g": g}))
     # The triple row sum d(a) + d(b) + d(ab) at every cell; a disagreeing
-    # cell needs it to reach n.  nonzero runs row-major, so the violations
+    # cell needs it to reach n.  argwhere runs row-major, so the violations
     # come in the order of a scan over (a, b).
-    ab = a.array
-    triple = d[:, None] + d[None, :] + d[ab]
-    xs, ys = np.nonzero(mismatch & (triple < n))
-    for x, y, xy, s in zip(
-        xs.tolist(), ys.tolist(), ab[xs, ys].tolist(), triple[xs, ys].tolist()
-    ):
-        out.append(LemmaViolation("row_triple_sum", {"a": x, "b": y, "ab": xy, "sum": s}))
+    triple = d[:, None] + d[None, :] + d.take(a.array)
+    low = mismatch & (triple < n)
+    if low.any():
+        for x, y in np.argwhere(low).tolist():
+            w = {"a": x, "b": y, "ab": a.cells[x][y], "sum": int(triple[x, y])}
+            out.append(LemmaViolation("row_triple_sum", w))
     if n > 7 and total <= 6 * n - 18 and a.identity != b.identity:
         isomorphic = False
         if is_prime(n):

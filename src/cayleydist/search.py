@@ -369,11 +369,14 @@ def _lex_permutations(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...]]:
-    """Every group table on {0..n-1}, each once, with iso-class labels.
+def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...], np.ndarray]:
+    """Every group table on {0..n-1}, each once, with iso-class labels and
+    its distance from each canonical table, all in one cache entry.
 
-    Returns (tables (N, n, n) uint8, labels (N,) int, kinds) where
-    labels[i] indexes into kinds.  Tables are the transports
+    Returns (tables (N, n, n) uint8, labels (N,) int, kinds, dists
+    (len(kinds), N) uint8): labels[i] indexes into kinds, and dists[k, i]
+    counts the cells where tables[i] differs from make_group(kinds[k])
+    (n * n <= 64 keeps it in uint8).  Tables are the transports
     f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G, kind by kind in
     catalog order and within a kind in the lexicographic order of f, each
     table at its first f.  Two f give one table iff they lie in one coset
@@ -404,16 +407,18 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
         rep_row = np.arange(len(reps))[:, None] * n
         tables.append(reps.take(g.array.astype(np.uint8).take(cell_idx) + rep_row))
     labels = np.repeat(np.arange(len(kinds)), [len(t) for t in tables])
-    return np.concatenate(tables).reshape(-1, n, n), labels, kinds
+    flat = np.concatenate(tables)
+    bases = (make_group(kind).array.astype(np.uint8).reshape(-1) for kind in kinds)
+    dists = np.array([(flat != base).sum(axis=1, dtype=np.uint8) for base in bases])
+    dists.setflags(write=False)  # shared by every caller of the cache
+    return flat.reshape(-1, n, n), labels, kinds, dists
 
 
 def distinct_table_counts(n: int) -> dict[str, int]:
     """Number of distinct tables per isomorphism class, n! / |Aut G|."""
-    _, labels, kinds = all_group_tables(n)
-    return {
-        kind.label(): int(np.count_nonzero(labels == i))
-        for i, kind in enumerate(kinds)
-    }
+    _, labels, kinds, _ = all_group_tables(n)
+    counts = np.bincount(labels, minlength=len(kinds)).tolist()
+    return {kind.label(): c for kind, c in zip(kinds, counts)}
 
 
 def _scope(n: int, scope: str, allow_slow: bool) -> str:
@@ -441,20 +446,19 @@ def kind_stability(
 
     Valid for the per-group stability values: distance is invariant under
     transporting both tables by the same permutation, so minimizing with
-    the canonical representative fixed loses nothing.  The witness is the
-    canonical table and the first table, in all_group_tables order, at
-    the minimum.
+    the canonical representative fixed loses nothing.  The distances are
+    the kind's row of all_group_tables' dists, so a call is O(N) mask and
+    argmin work.  The witness is the canonical table and the first table,
+    in all_group_tables order, at the minimum.
     """
     n = kind.order
     scope = _scope(n, scope, allow_slow)
-    tables, labels, kinds = all_group_tables(n)
+    tables, labels, kinds, dists = all_group_tables(n)
     try:
         base_label = kinds.index(kind)
     except ValueError:
         raise InputError(f"{kind} is not a group of order {n} in the catalog")
-    base = make_group(kind).array.astype(np.uint8)
-    flat = tables.reshape(len(tables), -1)
-    diffs = np.count_nonzero(flat != base.reshape(-1), axis=1)
+    diffs = dists[base_label]
     if scope == "mu":
         mask = (labels == base_label) & (diffs > 0)
     elif scope == "nu":
@@ -463,10 +467,8 @@ def kind_stability(
         mask = diffs > 0
     if not mask.any():
         raise InputError(f"no table satisfies scope {scope!r} at order {n}")
-    masked = np.where(mask, diffs, n * n + 1)
-    j = int(np.argmin(masked))
-    value = int(diffs[j])
-    return value, (validate_table(base), validate_table(tables[j]))
+    j = int(np.argmin(np.where(mask, diffs, n * n + 1)))
+    return int(diffs[j]), (make_group(kind), validate_table(tables[j]))
 
 
 def brute_delta(

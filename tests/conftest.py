@@ -233,6 +233,37 @@ def oracle_check_lemmas(a: cd.GroupTable, b: cd.GroupTable) -> list:
     return out
 
 
+def oracle_isomorphisms(a: cd.GroupTable, b: cd.GroupTable) -> list[cd.Permutation]:
+    """_isomorphisms as a per-candidate search: each tuple of same-order
+    images of a's generating sequence, in itertools.product order, walked
+    to a map one element at a time and kept if it is a bijection that
+    respects every cell."""
+    if a.order_profile() != b.order_profile():
+        return []
+    gens = cd.generating_sequence(a)
+    candidates = [[x for x, o in enumerate(b.orders) if o == a.orders[g]] for g in gens]
+    walk = cd.group_core._span(a, gens).items()
+    out = []
+    for images in itertools.product(*candidates):
+        f = [-1] * a.n
+        for y, (x, i) in walk:
+            f[y] = b.identity if x < 0 else b.cells[f[x]][images[i]]
+        if sorted(f) != list(range(a.n)):
+            continue
+        if all(
+            f[a.cells[x][y]] == b.cells[f[x]][f[y]] for x in range(a.n) for y in range(a.n)
+        ):
+            out.append(cd.Permutation(tuple(f)))
+    return out
+
+
+def estim1_bound(n: int, m: int) -> int:
+    """estim2's second bound at l = 0, in closed form:
+    ceil(n/4)*ceil(n/3) + (n - ceil(n/4) - 1)*m."""
+    q4 = -(-n // 4)
+    return q4 * -(-n // 3) + (n - q4 - 1) * m
+
+
 def oracle_first_invalid(cells) -> tuple[type, str] | None:
     """The error class and message for the first range, Latin or identity
     offender of a row-by-row scan, or None if the table passes them all."""
@@ -307,7 +338,7 @@ def oracle_is_dihedral_twice_odd(t: cd.GroupTable) -> bool:
 
 
 def oracle_all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[cd.GroupKind, ...]]:
-    """all_group_tables as a per-table dedupe loop over the transports of
+    """all_group_tables(n)[:3] as a per-table dedupe loop over the transports of
     each catalog kind, raising if two kinds produce the same table."""
     kinds = tuple(cd.groups_of_order(n))
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
@@ -337,7 +368,7 @@ def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable,
     tables of order n, returning the lexicographically first minimizing
     pair."""
     scope = {"isomorphic_only": "mu", "nonisomorphic_only": "nu"}.get(scope, scope)
-    tables, labels, _ = all_group_tables(n)
+    tables, labels, _, _ = all_group_tables(n)
     flat = tables.reshape(len(tables), -1)
     best_val = None
     best_pair = None

@@ -1,5 +1,6 @@
 import json
 import random
+import runpy
 from pathlib import Path
 
 import pytest
@@ -566,3 +567,15 @@ class TestOracle:
         expected = (Path(__file__).parent / "golden" / f"oracle_n8_{scope}.json").read_text()
         strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
         assert strip(out) == strip(expected)
+
+
+def test_small_order_survey_pinned(capsys, monkeypatch):
+    # the survey makes every brute_delta and kind_stability call of the
+    # oracle in one process; its output is pinned byte for byte
+    root = Path(__file__).parent
+    monkeypatch.setattr("sys.argv", ["small_order_survey.py"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(root.parent / "scripts" / "small_order_survey.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 0 and err == ""
+    assert out == (root / "golden" / "small_order_survey.txt").read_text()

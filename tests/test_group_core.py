@@ -24,6 +24,7 @@ from conftest import (
     oracle_first_invalid,
     oracle_first_nonassociative,
     oracle_is_dihedral_twice_odd,
+    oracle_isomorphisms,
     oracle_make_group,
     random_permutation,
     reduced_loops,
@@ -388,10 +389,24 @@ class TestIsomorphism:
     def test_generator_images_must_give_a_homomorphism(self):
         # 1 -> 1, 2 -> 2 extends along the walk to a bijection from the
         # Klein group onto Z_4, but f(1 * 1) = f(0) = 0 while f(1) + f(1) = 2
+        homs = cd.group_core._homs_from_generators
         klein = cd.make_group(cd.GroupKind.elementary_abelian(2))
-        assert cd.group_core._hom_from_generators(klein, cyclic(4), [1, 2], [1, 2]) is None
+        assert homs(klein, cyclic(4), [1, 2], np.array([[1, 2]])).shape == (0, 4)
         z4 = cyclic(4)
-        assert cd.group_core._hom_from_generators(z4, z4, [1], [3]) == cd.Permutation((0, 3, 2, 1))
+        assert homs(z4, z4, [1], np.array([[3]])).tolist() == [[0, 3, 2, 1]]
+
+    @pytest.mark.parametrize("n", range(1, MAX_BRUTE_ORDER + 1))
+    def test_isomorphisms_match_per_candidate_search(self, n):
+        # every pair of catalog kinds of order n, then 50 seeded transports
+        # of each kind; same isomorphisms, in the same order
+        kinds = [cd.make_group(kind) for kind in cd.groups_of_order(n)]
+        for a, b in itertools.product(kinds, repeat=2):
+            assert list(cd.group_core._isomorphisms(a, b)) == oracle_isomorphisms(a, b)
+        rng = random.Random(n)
+        for g in kinds:
+            for _ in range(50):
+                moved = cd.transport(g, random_permutation(n, rng))
+                assert list(cd.group_core._isomorphisms(g, moved)) == oracle_isomorphisms(g, moved)
 
     def test_z7_vs_transport(self, z7):
         rng = random.Random(7)
@@ -440,7 +455,7 @@ class TestIsomorphism:
             assert all(cd.transport(g, f) == g for f in auts)
 
     def test_prime_order_tables_are_cyclic(self):
-        tables, labels, kinds = cd.search.all_group_tables(5)
+        tables, labels, kinds, _ = cd.search.all_group_tables(5)
         assert len(tables) == 30
         assert set(labels.tolist()) == {0} and kinds[0].label() == "cyclic:5"
 

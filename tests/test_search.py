@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_group_tables_matches_oracle(self, n):
-        tables, labels, kinds = all_group_tables(n)
+        tables, labels, kinds, _ = all_group_tables(n)
         expected = oracle_all_group_tables(n)
         assert tables.dtype == expected[0].dtype == np.uint8
         assert labels.dtype == expected[1].dtype == np.int64
@@ -332,8 +333,20 @@ class TestBruteDelta:
             assert counts[kind.label()] == len({t.tobytes() for t in own})
         assert sum(counts.values()) == len(tables)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dists_are_distances_to_the_canonical_tables(self, n):
+        # every table at n <= 7; a seeded sample of 2000 per kind at n = 8
+        tables, _, kinds, dists = all_group_tables(n)
+        assert dists.dtype == np.uint8 and dists.shape == (len(kinds), len(tables))
+        rng = random.Random(n)
+        for k, kind in enumerate(kinds):
+            base = cd.make_group(kind)
+            sample = range(len(tables)) if n <= 7 else rng.sample(range(len(tables)), 2000)
+            for i in sample:
+                assert dists[k, i] == cd.dist(base, cd.validate_table(tables[i])).total
+
     def test_every_enumerated_table_is_a_group(self):
-        tables, _, _ = all_group_tables(4)
+        tables, _, _, _ = all_group_tables(4)
         for arr in tables:
             cd.validate_table([[int(v) for v in row] for row in arr])
 
