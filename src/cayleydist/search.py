@@ -10,6 +10,7 @@ coset of Aut(G).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -39,7 +40,7 @@ from .group_core import (
 from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
 
 # Patterns per block of the array search.  Bounds its working memory, the
-# (block, p(p-1)/2) arrays of the distance kernel, to a few MiB at p = 31.
+# (p(p-1)/2, block) arrays of the distance kernel, to a few MiB at p = 31.
 _BLOCK = 2048
 
 SCOPE_ALIASES = {
@@ -228,7 +229,9 @@ def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pattern of one row as two (N, m) exponent arrays, in
     enumerate_patterns order: the positions, and for each position the
     position whose row value it takes."""
-    combos = np.array(list(itertools.combinations(range(1, p), m)), dtype=np.intp)
+    count = math.comb(p - 1, m)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
+    combos = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
     nxt = np.array(REARRANGEMENTS[m], dtype=np.intp)
     positions = np.repeat(combos, len(nxt), axis=0)
     sources = combos[:, nxt].reshape(-1, m)
@@ -238,8 +241,9 @@ def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _complete_block(
     p: int, h: int, positions: np.ndarray, sources: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi rows and the p-cycle mask for a block of patterns over the
-    canonical Z_p, each modifying the row of h.
+    """phi and the p-cycle mask for a block of B patterns over the
+    canonical Z_p, each modifying the row of h: phi is (p, B) uint8 with
+    phi[k, j] the image of k under pattern j, and ok is (B,) bool.
 
     The row of h maps x to x + h; the element at exponent i is i*h, so the
     pattern writes (source + 1)*h at column position*h.  phi(k) is
@@ -254,7 +258,7 @@ def _complete_block(
     walk = np.zeros((p, b), dtype=np.uint8)  # walk[k] = sigma^k(0)
     for k in range(1, p):
         walk[k] = flat[offsets + walk[k - 1]]
-    return walk.T, (walk[1:] != 0).all(axis=0)
+    return walk, (walk[1:] != 0).all(axis=0)
 
 
 def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -269,21 +273,28 @@ def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, .
 def _phi_distances(
     p: int, phi: np.ndarray, cells: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 ) -> np.ndarray:
-    """Exact distance from Z_p to its transport by each phi row: the
-    number of cells (x, y) with phi(x + y) != phi(x) + phi(y) mod p.
+    """Exact distance from Z_p to its transport by each column of the
+    (p, B) uint8 array phi: the number of cells (x, y) with
+    phi(x + y) != phi(x) + phi(y) mod p, as a (B,) intp array.
 
     Both sides are symmetric in x and y and agree when x or y is 0
     (phi(0) = 0), so only the cells of _distance_cells(p) are checked, and
-    a pair x < y counts for two cells.
+    a pair x < y counts for two cells.  Each cell gathers whole rows of
+    phi, so the working arrays are (cells, B) and the count of a pattern
+    is a sum down its column.
     """
 
     def mismatches(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
-        t = phi[:, x] + phi[:, y]  # < 2p <= 62, so uint8 cannot wrap
-        t -= phi[:, xy]  # a cell that agrees leaves 0 or p
-        return np.count_nonzero((t != 0) & (t != p), axis=1)
+        t = phi.take(x, 0)
+        t += phi.take(y, 0)  # < 2p <= 62, so uint8 cannot wrap up
+        t -= phi.take(xy, 0)  # a cell that agrees leaves 0 or p; one below
+        # 0 wraps to at least 257 - p > p, so it still counts as a mismatch
+        bad = (t != 0) & (t != p)
+        return bad.view(np.uint8).sum(axis=0, dtype=np.uint16)
 
+    # At most p(p - 1) <= 930 cells at p <= 31, so the counts fit in uint16.
     diag, upper = cells
-    return mismatches(*diag) + 2 * mismatches(*upper)
+    return (mismatches(*diag) + 2 * mismatches(*upper)).astype(np.intp)
 
 
 def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
@@ -299,7 +310,7 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
         for start in range(0, len(positions), _BLOCK):
             block = slice(start, start + _BLOCK)
             phi, ok = _complete_block(p, h, positions[block], sources[block])
-            dvals = _phi_distances(p, phi[ok], cells)
+            dvals = _phi_distances(p, phi[:, ok], cells)
             completing += len(dvals)
             if len(dvals) and (min_distance is None or dvals.min() < min_distance):
                 k = int(np.argmin(dvals))
@@ -376,7 +387,8 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     Returns (tables (N, n, n) uint8, labels (N,) int, kinds, dists
     (len(kinds), N) uint8): labels[i] indexes into kinds, and dists[k, i]
     counts the cells where tables[i] differs from make_group(kinds[k])
-    (n * n <= 64 keeps it in uint8).  Tables are the transports
+    (n * n <= 64 keeps it in uint8).  All three arrays are read-only, since
+    every caller shares them through the cache.  Tables are the transports
     f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G, kind by kind in
     catalog order and within a kind in the lexicographic order of f, each
     table at its first f.  Two f give one table iff they lie in one coset
@@ -410,7 +422,8 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     flat = np.concatenate(tables)
     bases = (make_group(kind).array.astype(np.uint8).reshape(-1) for kind in kinds)
     dists = np.array([(flat != base).sum(axis=1, dtype=np.uint8) for base in bases])
-    dists.setflags(write=False)  # shared by every caller of the cache
+    for arr in (flat, labels, dists):
+        arr.setflags(write=False)  # shared by every caller of the cache
     return flat.reshape(-1, n, n), labels, kinds, dists
 
 

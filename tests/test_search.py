@@ -111,9 +111,9 @@ class TestCompleteFromRow:
             positions, sources = _pattern_table(11, m)
             for h in range(1, 11):
                 phis, ok = _complete_block(11, h, positions, sources)
-                dvals = iter(_phi_distances(11, phis[ok], _distance_cells(11)))
+                dvals = iter(_phi_distances(11, phis[:, ok], _distance_cells(11)))
                 pats = cd.enumerate_patterns(11, m, h=h)
-                for pat, phi, completes in zip(pats, phis, ok, strict=True):
+                for pat, phi, completes in zip(pats, phis.T, ok, strict=True):
                     sigma = cd.apply_pattern(pat, z11)
                     try:
                         table = cd.complete_from_row(z11, h, sigma)
@@ -125,6 +125,31 @@ class TestCompleteFromRow:
                     f = cd.Permutation(tuple(int(v) for v in phi))
                     assert cd.transport(z11, f) == table
                     assert next(dvals) == cd.dist(z11, table).total == cd.hom_distance(f, z11, z11)
+
+    @pytest.mark.parametrize("p", [29, 31])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_distance_kernel_matches_hom_distance_at_widest_p(self, p, m):
+        # the widest p is where the uint8 wrap of phi(x) + phi(y) - phi(x + y)
+        # and the uint16 column sum are tightest; a seeded sample of the
+        # completing patterns of rows 1, 2 and p - 1 against the public kernel
+        zp = cyclic(p)
+        cells = _distance_cells(p)
+        positions, sources = _pattern_table(p, m)
+        rng = random.Random(p * 10 + m)
+        for h in (1, 2, p - 1):
+            phi, ok = _complete_block(p, h, positions, sources)
+            done = phi[:, ok]
+            dvals = _phi_distances(p, done, cells)
+            assert dvals.dtype == np.intp and dvals.shape == (ok.sum(),)
+            for k in rng.sample(range(len(dvals)), 20):
+                f = cd.Permutation(tuple(done[:, k].tolist()))
+                assert dvals[k] == cd.hom_distance(f, zp, zp)
+
+    def test_distance_kernel_on_no_completing_pattern(self):
+        positions, sources = _pattern_table(11, 3)
+        phi, _ = _complete_block(11, 1, positions, sources)
+        dvals = _phi_distances(11, phi[:, np.zeros(len(positions), dtype=bool)], _distance_cells(11))
+        assert dvals.dtype == np.intp and dvals.shape == (0,)
 
 
 class TestPrimeStabilityVerify:
@@ -207,13 +232,13 @@ class TestPrimeStabilityVerify:
             positions, sources = _pattern_table(p, m)
             phi1, ok1 = _complete_block(p, 1, positions, sources)
             cells = _distance_cells(p)
-            d1 = _phi_distances(p, phi1[ok1], cells)
+            d1 = _phi_distances(p, phi1[:, ok1], cells)
             assert ok1.any()
             for h in range(2, p):
                 phi, ok = _complete_block(p, h, positions, sources)
                 assert np.array_equal(phi, phi1.astype(np.intp) * h % p)
                 assert np.array_equal(ok, ok1)
-                assert np.array_equal(_phi_distances(p, phi[ok], cells), d1)
+                assert np.array_equal(_phi_distances(p, phi[:, ok], cells), d1)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_all_rows_mcase_matches_slow_path(self, p):
@@ -349,6 +374,20 @@ class TestBruteDelta:
         tables, _, _, _ = all_group_tables(4)
         for arr in tables:
             cd.validate_table([[int(v) for v in row] for row in arr])
+
+    def test_cached_arrays_are_read_only(self):
+        # every caller shares one cache entry, so no caller may write to it
+        first = all_group_tables(4)
+        before = [arr.copy() for arr in (first[0], first[1], first[3])]
+        for arr in (first[0], first[1], first[3]):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        again = all_group_tables(4)
+        for arr, old in zip((again[0], again[1], again[3]), before):
+            assert np.array_equal(arr, old)
+        # kind_stability validates its witness from a read-only row of tables
+        value, (base, other) = cd.kind_stability(cd.GroupKind.cyclic(4), "mu")
+        assert cd.dist(base, other).total == value > 0
 
     @pytest.mark.parametrize(
         "n,scope",
