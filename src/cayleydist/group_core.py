@@ -1,10 +1,11 @@
 """Finite-group Cayley tables on the element set {0, ..., n-1}.
 
-Tables are immutable dataclasses; every constructor either builds a table
-that is a group by construction (make_group, transport) or runs the full
-validation pass (validate_table), and all three return a table whose array
-is already set.  validate_table rejects an input that is not a sequence of
-rows.  Identity is located by scan -- ingested tables need not place it at 0.
+Tables are immutable; every constructor either builds a table that is a
+group by construction (make_group, transport) or runs the full validation
+pass (validate_table), and all three return a table that holds its array
+and builds its cells tuple only when cells is first read.  validate_table
+rejects an input that is not a sequence of rows.  Identity is located by
+scan -- ingested tables need not place it at 0.
 """
 
 from __future__ import annotations
@@ -168,30 +169,55 @@ class Permutation:
         return cls(image)
 
 
-@dataclass(frozen=True)
 class GroupTable:
-    """A validated n x n Cayley table; cells[a][b] = a * b."""
+    """A validated n x n Cayley table; cells[a][b] = a * b.
 
-    n: int
-    cells: tuple[tuple[int, ...], ...]
-    identity: int
+    Immutable, with equality, hashing and repr on (n, cells, identity).
+    The constructor takes cells and builds the read-only array on first
+    use; _from_array takes the array and builds cells on first read.
+    """
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The cells as a read-only (n, n) np.intp array; not a field, so
-        equality and hashing stay on (n, cells, identity).  _from_array sets
-        it; a table made by the constructor builds it on first use."""
-        arr = np.array(self.cells, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
+    def __init__(self, n: int, cells: tuple[tuple[int, ...], ...], identity: int) -> None:
+        vars(self).update(n=n, cells=cells, identity=identity)
 
     @classmethod
     def _from_array(cls, arr: np.ndarray, identity: int) -> "GroupTable":
         """The table holding arr, with arr (made read-only) as its array."""
-        t = cls(n=len(arr), cells=tuple(map(tuple, arr.tolist())), identity=identity)
         arr.setflags(write=False)
-        t.__dict__["array"] = arr
+        t = cls.__new__(cls)
+        vars(t).update(n=len(arr), identity=identity, array=arr)
         return t
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"GroupTable is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.n, self.cells, self.identity
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GroupTable(n={self.n!r}, cells={self.cells!r}, identity={self.identity!r})"
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints, built from array on first read."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The cells as a read-only (n, n) np.intp array."""
+        arr = np.array(self.cells, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
 
     def mul(self, a: int, b: int) -> int:
         return self.cells[a][b]
@@ -451,10 +477,9 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
     if f.n != t.n:
         raise DimensionMismatch(f"table order {t.n} vs permutation size {f.n}")
     img = np.asarray(f.image, dtype=np.intp)
-    finv = np.empty_like(img)
-    finv[img] = np.arange(t.n)
-    # img[t.array[finv[:, None], finv]], built faster by takes.
-    arr = img.take(t.array.take(finv, 0).take(finv, 1))
+    finv = img.argsort()
+    # img[t.array[finv[:, None], finv]], with the inner gather built faster by takes.
+    arr = img[t.array.take(finv, 0).take(finv, 1)]
     return GroupTable._from_array(arr, identity=f.image[t.identity])
 
 

@@ -59,22 +59,22 @@ class DistanceProfile:
         return len(self.row)
 
 
-def _mismatches(a: GroupTable, b: GroupTable) -> np.ndarray:
-    """The (n, n) mask of the cells where the two tables differ."""
+def _mismatches(a: GroupTable, b: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) mask of the cells where the two tables differ, and its
+    row sums (by np.add.reduce, which skips ndarray.sum's Python layer)."""
     if a.n != b.n:
         raise DimensionMismatch(f"orders differ: {a.n} vs {b.n}")
-    return a.array != b.array
+    mismatch = a.array != b.array
+    return mismatch, np.add.reduce(mismatch, 1)
 
 
 def dist(a: GroupTable, b: GroupTable) -> DistanceProfile:
-    row = tuple(_mismatches(a, b).sum(axis=1).tolist())
-    m = None
-    if a.identity == b.identity and a.n > 1:
-        m = min(d for g, d in enumerate(row) if g != a.identity)
-    elif a.identity == b.identity:
-        m = 0
+    row = _mismatches(a, b)[1].tolist()
+    e = a.identity
+    # The least non-identity row; 0 at n = 1, which has no other row.
+    m = min(row[:e] + row[e + 1 :], default=0) if e == b.identity else None
     agreement = tuple(g for g, d in enumerate(row) if d == 0)
-    return DistanceProfile(total=sum(row), row=row, m=m, agreement=agreement)
+    return DistanceProfile(total=sum(row), row=tuple(row), m=m, agreement=agreement)
 
 
 def hom_distance(f: MapLike, h: GroupTable, k: GroupTable) -> int:
@@ -105,8 +105,11 @@ def delta0(t: GroupTable) -> int:
 
 def light_set(a: GroupTable, b: GroupTable) -> list[int]:
     """Rows where the tables nearly agree: {g : d(g) < n/3}, strict."""
-    prof = dist(a, b)
-    return [g for g, d in enumerate(prof.row) if 3 * d < a.n]
+    return _light_rows(dist(a, b))
+
+
+def _light_rows(prof: DistanceProfile) -> list[int]:
+    return [g for g, d in enumerate(prof.row) if 3 * d < prof.n]
 
 
 def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
@@ -118,7 +121,7 @@ def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
     """
     n = a.n
     prof = dist(a, b)
-    K = light_set(a, b)
+    K = _light_rows(prof)
     if 4 * len(K) <= 3 * n:
         raise HypothesisNotMet(f"|K| = {len(K)} <= 3n/4 = {3 * n / 4:g}")
     f = [-1] * n
@@ -342,9 +345,8 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
     isomorphism is not decided above MAX_BRUTE_ORDER, so it is skipped.
     A non-empty result on valid group inputs indicates an implementation bug.
     """
-    mismatch = _mismatches(a, b)
+    mismatch, d = _mismatches(a, b)
     n = a.n
-    d = mismatch.sum(axis=1)
     rows = d.tolist()
     total = sum(rows)
     out: list[LemmaViolation] = []
@@ -356,9 +358,9 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
     # The triple row sum d(a) + d(b) + d(ab) at every cell; a disagreeing
     # cell needs it to reach n.  argwhere runs row-major, so the violations
     # come in the order of a scan over (a, b).
-    triple = d[:, None] + d[None, :] + d.take(a.array)
-    low = mismatch & (triple < n)
-    if low.any():
+    triple = d[:, None] + d + d[a.array]
+    low = (triple < n) & mismatch
+    if np.count_nonzero(low):
         for x, y in np.argwhere(low).tolist():
             w = {"a": x, "b": y, "ab": a.cells[x][y], "sum": int(triple[x, y])}
             out.append(LemmaViolation("row_triple_sum", w))

@@ -445,7 +445,7 @@ def _scope(n: int, scope: str, allow_slow: bool) -> str:
     if n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"brute force capped at order {MAX_BRUTE_ORDER}, got {n}")
     if n == 8 and not allow_slow:
-        raise OrderTooLarge("order 8 enumerates ~200k transports; pass allow_slow")
+        raise OrderTooLarge("order 8 needs allow_slow (--allow-slow)")
     if resolved == "nu" and is_prime(n):
         raise NuUndefinedForPrime(f"only one isomorphism class at prime order {n}")
     return resolved

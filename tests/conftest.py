@@ -70,6 +70,19 @@ def oracle_row_dist(a: cd.GroupTable, b: cd.GroupTable, g: int) -> int:
     return sum(a.cells[g][y] != b.cells[g][y] for y in range(a.n))
 
 
+def oracle_profile(a: cd.GroupTable, b: cd.GroupTable) -> tuple:
+    """(total, row, m, agreement) of dist(a, b), cell by cell.  m is the
+    least row distance over the rows other than the identity's when the
+    identities coincide (0 at n = 1, which has no other row), else None."""
+    row = tuple(oracle_row_dist(a, b, g) for g in range(a.n))
+    m = None
+    if a.identity == b.identity:
+        others = [row[g] for g in range(a.n) if g != a.identity]
+        m = min(others) if others else 0
+    agreement = tuple(g for g in range(a.n) if row[g] == 0)
+    return sum(row), row, m, agreement
+
+
 def oracle_mf(f, h: cd.GroupTable, k: cd.GroupTable) -> int:
     img = f.image if isinstance(f, cd.Permutation) else f
     return sum(

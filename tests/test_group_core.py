@@ -26,6 +26,7 @@ from conftest import (
     oracle_is_dihedral_twice_odd,
     oracle_isomorphisms,
     oracle_make_group,
+    oracle_transport,
     random_permutation,
     reduced_loops,
     switched_intercalate,
@@ -264,6 +265,51 @@ class TestGroupTableArray:
                 assert not out.array.flags.writeable
                 assert np.array_equal(out.array, np.array(out.cells))
                 assert all(type(v) is int for row in out.cells for v in row)
+
+
+class TestArrayFirstTable:
+    """A table built from an array builds its cells tuple on first read."""
+
+    def test_transport_builds_cells_on_first_read(self):
+        rng = random.Random(13)
+        for t in (cyclic(9), dihedral(5), cyclic(13)):
+            f = random_permutation(t.n, rng)
+            moved = cd.transport(t, f)
+            assert "cells" not in vars(moved)
+            cells = moved.cells
+            assert "cells" in vars(moved) and moved.cells is cells
+            assert type(cells) is tuple and all(type(row) is tuple for row in cells)
+            assert all(type(v) is int for row in cells for v in row)
+            assert cells == oracle_transport(t, f).cells
+
+    def test_equal_and_hash_alike_with_constructor_tables(self):
+        rng = random.Random(21)
+        for t in (cyclic(7), dihedral(4)):
+            built = cd.transport(t, random_permutation(t.n, rng))
+            bare = cd.GroupTable(built.n, tuple(map(tuple, built.array.tolist())), built.identity)
+            assert "cells" not in vars(built) and "array" not in vars(bare)
+            assert built == bare and bare == built
+            assert hash(built) == hash(bare) and hash(bare) == hash(built)
+            assert {built: 1}[bare] == 1 and {bare: 2}[built] == 2
+            assert built != cd.GroupTable(built.n, bare.cells, (built.identity + 1) % t.n)
+
+    @pytest.mark.parametrize("name", ["n", "cells", "identity", "array"])
+    def test_immutable(self, name):
+        built = cd.transport(cyclic(5), cd.Permutation.transposition(5, 1, 2))
+        bare = cd.GroupTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
+        for t in (built, bare):
+            before = getattr(t, name)
+            with pytest.raises(AttributeError):
+                setattr(t, name, before)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+            assert getattr(t, name) is before
+
+    def test_repr(self):
+        expected = "GroupTable(n=2, cells=((1, 0), (0, 1)), identity=1)"
+        moved = cd.transport(cyclic(2), cd.Permutation((1, 0)))
+        assert repr(moved) == expected
+        assert repr(cd.GroupTable(2, ((1, 0), (0, 1)), 1)) == expected
 
 
 class TestMakeGroup:

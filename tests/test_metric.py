@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     oracle_dist,
     oracle_mf,
     oracle_min_transposition,
+    oracle_profile,
     oracle_row_dist,
     oracle_transport,
     random_permutation,
@@ -366,6 +368,18 @@ def _seeded_maps(t: cd.GroupTable, rng: random.Random, count: int):
             yield cd.Permutation.from_cycles(t.n, [rng.sample(range(t.n), rng.choice((2, 3)))])
 
 
+def _identity_to(t: cd.GroupTable, e: int, rng: random.Random) -> cd.Permutation:
+    """A random permutation of t's elements that sends t's identity to e."""
+    img = list(random_permutation(t.n, rng).image)
+    i = img.index(e)
+    img[i], img[t.identity] = img[t.identity], e
+    return cd.Permutation(tuple(img))
+
+
+def _profile(prof: cd.DistanceProfile) -> tuple:
+    return prof.total, prof.row, prof.m, prof.agreement
+
+
 def _perturbed_pair(n: int, rng: random.Random) -> tuple[cd.GroupTable, cd.GroupTable]:
     """A random table (not a group) and a copy with a few cells changed,
     so row distances 1 and 2 and small triple sums are common."""
@@ -396,6 +410,7 @@ class TestKernelsAgainstOracles:
             prof = cd.dist(t, moved)
             assert prof.row == tuple(oracle_row_dist(t, moved, g) for g in range(t.n))
             assert prof.total == oracle_dist(t, moved)
+            assert _profile(prof) == oracle_profile(t, moved)
             assert cd.hom_distance(f, t, t) == oracle_mf(f, t, t) == prof.total
             assert cd.hom_distance(f, t, moved) == 0
             assert cd.check_lemmas(t, moved) == oracle_check_lemmas(t, moved) == []
@@ -426,10 +441,41 @@ class TestKernelsAgainstOracles:
                 seen.update(v.name for v in violations)
                 prof = cd.dist(a, b)
                 assert prof.row == tuple(oracle_row_dist(a, b, g) for g in range(n))
+                assert _profile(prof) == oracle_profile(a, b)
                 f = random_permutation(n, rng)
                 assert cd.transport(a, f) == oracle_transport(a, f)
                 assert cd.hom_distance(f, a, b) == oracle_mf(f, a, b)
         assert seen == {"row_distance_one", "row_distance_two", "row_triple_sum", "identity_mismatch"}
+
+    @pytest.mark.parametrize("label", PAIR_KINDS)
+    def test_profile_with_the_identity_anywhere(self, label):
+        # m skips the identity's row, wherever the transports put it
+        t = cd.make_group(cd.GroupKind.parse(label))
+        rng = random.Random(label)
+        for e in (0, t.n // 2, t.n - 1):
+            for _ in range(20):
+                a = cd.transport(t, _identity_to(t, e, rng))
+                b = cd.transport(t, _identity_to(t, e, rng))
+                assert a.identity == b.identity == e
+                prof = cd.dist(a, b)
+                assert prof.m is not None and _profile(prof) == oracle_profile(a, b)
+                other = cd.transport(t, _identity_to(t, (e + 1) % t.n, rng))
+                for x, y in ((a, other), (other, a)):
+                    prof = cd.dist(x, y)
+                    assert prof.m is None and _profile(prof) == oracle_profile(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_profile_at_orders_one_and_two(self, n):
+        t = cyclic(n)
+        ms = set()
+        for img in itertools.permutations(range(n)):
+            moved = cd.transport(t, cd.Permutation(img))
+            for a, b in ((t, moved), (moved, t), (moved, moved)):
+                prof = cd.dist(a, b)
+                assert _profile(prof) == oracle_profile(a, b)
+                ms.add(prof.m)
+        # Z_1 has no row but the identity's; Z_2 swapped moves its identity.
+        assert ms == ({0} if n == 1 else {0, None})
 
     def test_check_lemmas_at_eight_rejects_a_non_group(self):
         # are_isomorphic walks element orders, which never reach the identity here

@@ -308,8 +308,8 @@ class TestBruteDelta:
     def test_order_caps(self):
         with pytest.raises(OrderTooLarge, match="^brute force capped at order 8, got 9$"):
             cd.brute_delta(9)
-        with pytest.raises(OrderTooLarge):
-            cd.brute_delta(8)  # needs allow_slow
+        with pytest.raises(OrderTooLarge, match=r"^order 8 needs allow_slow \(--allow-slow\)$"):
+            cd.brute_delta(8)
 
     def test_distinct_table_counts(self):
         assert cd.distinct_table_counts(7) == {"cyclic:7": 840}
