@@ -29,8 +29,8 @@ def main() -> int:
 
     print(f"n=8  tables={sum(distinct_table_counts(8).values())}")
     for kind in groups_of_order(8):
-        mu, _ = kind_stability(kind, "mu", allow_slow=True)
-        nu, _ = kind_stability(kind, "nu", allow_slow=True)
+        mu, _ = kind_stability(kind, "mu")
+        nu, _ = kind_stability(kind, "nu")
         print(f"  {kind.label():20s} mu={mu:3d}  nu={nu:3d}  delta={min(mu, nu)}")
     return 0
 

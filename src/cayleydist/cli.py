@@ -270,7 +270,7 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _cmd_oracle(args) -> CommandResult:
-    value, (wa, wb) = brute_delta(args.order, scope=args.scope, allow_slow=args.allow_slow)
+    value, (wa, wb) = brute_delta(args.order, scope=args.scope)
     name = {"all": "delta", "mu": "mu", "nu": "nu"}[args.scope]
     return CommandResult(
         command="oracle",
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force delta/mu/nu at small orders")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--scope", choices=["all", "mu", "nu"], default="all")
-    p.add_argument("--allow-slow", action="store_true", help="permit the order-8 run")
     p.set_defaults(func=_cmd_oracle)
 
     for sp in sub.choices.values():

@@ -28,9 +28,6 @@ from .errors import (
     OrderTooLarge,
 )
 
-# Largest order the brute-force routines accept: the catalog's largest.
-MAX_BRUTE_ORDER = 8
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -581,7 +578,7 @@ def is_dihedral_twice_odd(t: GroupTable) -> bool:
     return k in t.orders and t.orders.count(2) == k
 
 
-# Every isomorphism class of order 1..MAX_BRUTE_ORDER, in oracle label order.
+# Every isomorphism class of each order it lists, in oracle label order.
 _CATALOG: dict[int, tuple[GroupKind, ...]] = {
     n: tuple(map(GroupKind.parse, labels.split()))
     for n, labels in {
@@ -596,11 +593,14 @@ _CATALOG: dict[int, tuple[GroupKind, ...]] = {
     }.items()
 }
 
+# Largest order the brute-force routines accept; adding a catalog row raises it.
+MAX_BRUTE_ORDER = max(_CATALOG)
+
 
 def groups_of_order(n: int) -> list[GroupKind]:
-    """All isomorphism classes of order n, for n <= 8."""
+    """All isomorphism classes of order n, for n <= MAX_BRUTE_ORDER."""
     if n < 1:
         raise InputError(f"order must be >= 1, got {n}")
     if n not in _CATALOG:
-        raise OrderTooLarge(f"catalog covers orders 1..8, got {n}")
+        raise OrderTooLarge(f"catalog covers orders 1..{MAX_BRUTE_ORDER}, got {n}")
     return list(_CATALOG[n])

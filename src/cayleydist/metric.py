@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def _images(f: MapLike) -> Sequence[int]:
     return f.image if isinstance(f, Permutation) else f
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """Hamming distance between two tables, broken down by row.
 
     m (the minimum row distance over non-identity rows) is only defined

@@ -434,9 +434,9 @@ def distinct_table_counts(n: int) -> dict[str, int]:
     return {kind.label(): c for kind, c in zip(kinds, counts)}
 
 
-def _scope(n: int, scope: str, allow_slow: bool) -> str:
+def _scope(n: int, scope: str) -> str:
     """scope with its alias resolved (all / mu / nu), once the oracle is
-    known to run it at order n."""
+    known to run it at order n: any catalog order from 2 up."""
     resolved = SCOPE_ALIASES.get(scope)
     if resolved is None:
         raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
@@ -444,8 +444,6 @@ def _scope(n: int, scope: str, allow_slow: bool) -> str:
         raise InputError(f"stability needs at least two tables; order {n} has one")
     if n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"brute force capped at order {MAX_BRUTE_ORDER}, got {n}")
-    if n == 8 and not allow_slow:
-        raise OrderTooLarge("order 8 needs allow_slow (--allow-slow)")
     if resolved == "nu" and is_prime(n):
         raise NuUndefinedForPrime(f"only one isomorphism class at prime order {n}")
     return resolved
@@ -462,10 +460,11 @@ def kind_stability(
     the canonical representative fixed loses nothing.  The distances are
     the kind's row of all_group_tables' dists, so a call is O(N) mask and
     argmin work.  The witness is the canonical table and the first table,
-    in all_group_tables order, at the minimum.
+    in all_group_tables order, at the minimum.  allow_slow does nothing; it
+    stays only because the benchmark workloads still pass it.
     """
     n = kind.order
-    scope = _scope(n, scope, allow_slow)
+    scope = _scope(n, scope)
     tables, labels, kinds, dists = all_group_tables(n)
     try:
         base_label = kinds.index(kind)
@@ -494,10 +493,11 @@ def brute_delta(
     Every pair is a transport of a pair whose first table is canonical,
     and distance is invariant under transport, so this is the minimum of
     kind_stability over the kinds of order n.  The witness is that of the
-    first kind, in groups_of_order order, to reach the minimum.
+    first kind, in groups_of_order order, to reach the minimum.  allow_slow
+    does nothing; it stays only because the benchmark workloads still pass it.
     """
-    scope = _scope(n, scope, allow_slow)
+    scope = _scope(n, scope)
     return min(
-        (kind_stability(kind, scope, allow_slow) for kind in groups_of_order(n)),
+        (kind_stability(kind, scope) for kind in groups_of_order(n)),
         key=lambda result: result[0],
     )

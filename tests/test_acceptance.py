@@ -227,10 +227,10 @@ def test_criterion_9_order8_mu_nu():
     start = time.perf_counter()
     e8 = cd.GroupKind.elementary_abelian(3)
     q8 = cd.GroupKind.quaternion8()
-    mu_e8, _ = cd.kind_stability(e8, "mu", allow_slow=True)
-    nu_e8, _ = cd.kind_stability(e8, "nu", allow_slow=True)
-    mu_q8, _ = cd.kind_stability(q8, "mu", allow_slow=True)
-    nu_q8, _ = cd.kind_stability(q8, "nu", allow_slow=True)
+    mu_e8, _ = cd.kind_stability(e8, "mu")
+    nu_e8, _ = cd.kind_stability(e8, "nu")
+    mu_q8, _ = cd.kind_stability(q8, "mu")
+    nu_q8, _ = cd.kind_stability(q8, "nu")
     elapsed = time.perf_counter() - start
     ok = mu_e8 >= nu_e8 and mu_q8 >= nu_q8
     ok &= nu_e8 == 2 ** (2 * 3 - 2)  # 16, the known formula at order 8

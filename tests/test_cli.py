@@ -524,9 +524,9 @@ class TestVerifyAndOracle:
         code, _, err = run(capsys, "oracle", "--order", "5", "--scope", "nu")
         assert code == 2
 
-    def test_oracle_order8_needs_slow_flag(self, capsys):
-        code, _, err = run(capsys, "oracle", "--order", "8")
-        assert code == 2 and "allow" in err.lower()
+    def test_oracle_rejects_allow_slow_flag(self, capsys):
+        code, _, err = run(capsys, "oracle", "--order", "8", "--allow-slow")
+        assert code == 2 and "unrecognized arguments" in err
 
     def test_json_stable_across_runs(self, capsys, z7_file, z7f_file):
         strip = lambda text: [ln for ln in text.splitlines() if "runtime_ms" not in ln]
@@ -561,7 +561,7 @@ class TestOracle:
     def test_oracle_order8_json_pinned(self, capsys, scope):
         # all_group_tables(8) and kind_stability read make_group's arrays;
         # the order-8 output is pinned byte for byte, apart from runtime_ms
-        argv = ["oracle", "--order", "8", "--scope", scope, "--allow-slow", "--json"]
+        argv = ["oracle", "--order", "8", "--scope", scope, "--json"]
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         expected = (Path(__file__).parent / "golden" / f"oracle_n8_{scope}.json").read_text()

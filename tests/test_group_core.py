@@ -15,7 +15,7 @@ from cayleydist.errors import (
     NotLatin,
     OrderTooLarge,
 )
-from cayleydist.group_core import MAX_BRUTE_ORDER
+from cayleydist.group_core import _CATALOG, MAX_BRUTE_ORDER
 
 from conftest import (
     cyclic,
@@ -486,6 +486,13 @@ class TestIsomorphism:
             cd.are_isomorphic(z9, z9)
         with pytest.raises(OrderTooLarge, match="^isomorphism search capped at order 8, got 9$"):
             cd.automorphisms(z9)
+
+    def test_catalog_order_cap(self):
+        with pytest.raises(OrderTooLarge, match="^catalog covers orders 1..8, got 9$"):
+            cd.groups_of_order(9)
+
+    def test_max_brute_order_is_largest_catalog_order(self):
+        assert MAX_BRUTE_ORDER == max(kind.order for kinds in _CATALOG.values() for kind in kinds)
 
     @pytest.mark.parametrize("n", range(1, MAX_BRUTE_ORDER + 1))
     def test_automorphisms_match_brute_force(self, n):

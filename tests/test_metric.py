@@ -70,6 +70,14 @@ class TestDist:
         with pytest.raises(DimensionMismatch):
             cd.dist(z5, z7)
 
+    def test_profile_is_immutable_value(self, z7, paper_f7):
+        moved = cd.transport(z7, paper_f7)
+        prof = cd.dist(z7, moved)
+        with pytest.raises(AttributeError):
+            prof.total = 0
+        assert prof == cd.dist(z7, moved) and hash(prof) == hash(cd.dist(z7, moved))
+        assert prof.n == len(prof.row) == 7
+
 
 class TestHomDistance:
     def test_identity_map(self, z7):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,8 +310,22 @@ class TestBruteDelta:
     def test_order_caps(self):
         with pytest.raises(OrderTooLarge, match="^brute force capped at order 8, got 9$"):
             cd.brute_delta(9)
-        with pytest.raises(OrderTooLarge, match=r"^order 8 needs allow_slow \(--allow-slow\)$"):
-            cd.brute_delta(8)
+
+    @pytest.mark.parametrize("scope", ["all", "mu", "nu"])
+    def test_order8_matches_golden(self, scope):
+        golden = Path(__file__).parent / "golden" / f"oracle_n8_{scope}.json"
+        name = {"all": "delta"}.get(scope, scope)
+        assert cd.brute_delta(8, scope)[0] == json.loads(golden.read_text())["result"][name]
+
+    @pytest.mark.parametrize("scope", ["all", "mu", "nu"])
+    def test_allow_slow_does_nothing(self, scope):
+        # the parameter outlives the order-8 gate only for its callers; the
+        # value and the witness pair are the same either way
+        assert cd.brute_delta(8, scope, allow_slow=False) == cd.brute_delta(8, scope, allow_slow=True)
+        if scope != "all":
+            for kind in cd.groups_of_order(8):
+                slow = cd.kind_stability(kind, scope, allow_slow=True)
+                assert cd.kind_stability(kind, scope, allow_slow=False) == slow
 
     def test_distinct_table_counts(self):
         assert cd.distinct_table_counts(7) == {"cyclic:7": 840}
