@@ -2,10 +2,11 @@
 
 Tables are immutable; every constructor either builds a table that is a
 group by construction (make_group, transport) or runs the full validation
-pass (validate_table), and all three return a table that holds its array
-and builds its cells tuple only when cells is first read.  validate_table
-rejects an input that is not a sequence of rows.  Identity is located by
-scan -- ingested tables need not place it at 0.
+pass (validate_table).  Every table holds its read-only array from
+construction, equality and hashing read it, and the cells tuple is built
+only when cells is first read.  validate_table rejects an input that is
+not a sequence of rows.  Identity is located by scan -- ingested tables
+need not place it at 0.
 """
 
 from __future__ import annotations
@@ -167,15 +168,21 @@ class Permutation:
 
 
 class GroupTable:
-    """A validated n x n Cayley table; cells[a][b] = a * b.
+    """An n x n Cayley table; cells[a][b] = a * b.
 
-    Immutable, with equality, hashing and repr on (n, cells, identity).
-    The constructor takes cells and builds the read-only array on first
-    use; _from_array takes the array and builds cells on first read.
+    Immutable.  Every table holds its cells as a read-only (n, n) np.intp
+    array from construction, and equality and hashing read (identity,
+    array); cells, the rows as tuples, is built from the array on first
+    read.  The constructor copies cells and checks only their shape;
+    validate_table checks the group axioms.
     """
 
-    def __init__(self, n: int, cells: tuple[tuple[int, ...], ...], identity: int) -> None:
-        vars(self).update(n=n, cells=cells, identity=identity)
+    def __init__(self, n: int, cells: Sequence[Sequence[int]], identity: int) -> None:
+        arr = np.array(cells, dtype=np.intp)
+        if arr.shape != (n, n):
+            raise DimensionMismatch(f"cells of shape {arr.shape}, expected ({n}, {n})")
+        arr.setflags(write=False)
+        vars(self).update(n=n, identity=identity, array=arr)
 
     @classmethod
     def _from_array(cls, arr: np.ndarray, identity: int) -> "GroupTable":
@@ -190,16 +197,13 @@ class GroupTable:
 
     __delattr__ = __setattr__
 
-    def _key(self) -> tuple:
-        return self.n, self.cells, self.identity
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.identity == other.identity and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.identity, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"GroupTable(n={self.n!r}, cells={self.cells!r}, identity={self.identity!r})"
@@ -208,19 +212,6 @@ class GroupTable:
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples of Python ints, built from array on first read."""
         return tuple(map(tuple, self.array.tolist()))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The cells as a read-only (n, n) np.intp array."""
-        arr = np.array(self.cells, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
-
-    def mul(self, a: int, b: int) -> int:
-        return self.cells[a][b]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        return self.cells[a]
 
     def inverse(self, a: int) -> int:
         return self.cells[a].index(self.identity)
@@ -237,7 +228,7 @@ class GroupTable:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        """element_order of each element, built on first use like array."""
+        """element_order of each element, built on first use like cells."""
         return tuple(map(self.element_order, range(self.n)))
 
     def order_profile(self) -> tuple[int, ...]:
@@ -326,6 +317,10 @@ def _is_sequence(x: object) -> bool:
     return not isinstance(x, (str, bytes)) and (isinstance(x, Sequence) or np.ndim(x) > 0)
 
 
+# The types that count as an integer input: ints, numpy integers and bools.
+INTEGER_TYPES = (int, np.integer, np.bool_)
+
+
 def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """cells as an (n, n) np.intp array of values in 0..n-1.
 
@@ -349,7 +344,7 @@ def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
         if len(row) != n:
             raise InputError(f"row {a} has {len(row)} entries, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, (int, np.integer, np.bool_)):
+            if not isinstance(v, INTEGER_TYPES):
                 raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
             if not 0 <= v < n:
                 raise InputError(f"cell ({a},{b}) = {int(v)} outside 0..{n - 1}")

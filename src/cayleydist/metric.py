@@ -26,6 +26,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .group_core import (
+    INTEGER_TYPES,
     MAX_BRUTE_ORDER,
     GroupTable,
     Permutation,
@@ -84,6 +85,8 @@ def hom_distance(f: MapLike, h: GroupTable, k: GroupTable) -> int:
     # A permutation's images lie in 0..h.n-1 already.
     if not (isinstance(f, Permutation) and h.n <= k.n):
         for v in img:
+            if not isinstance(v, INTEGER_TYPES):
+                raise InputError(f"map image {v!r} is not an integer")
             if not 0 <= v < k.n:
                 raise InputError(f"map image {v} outside 0..{k.n - 1}")
     fi = np.asarray(img, dtype=np.intp)
@@ -254,7 +257,7 @@ def max_disjoint_subset(
 ) -> list[int]:
     """Largest Y within `disagree` with Y and h.Y disjoint; exhaustive."""
     elems = sorted(set(disagree))
-    for x in elems:
+    for x in (h, *elems):
         if not 0 <= x < t.n:
             raise InputError(f"element {x} outside 0..{t.n - 1}")
     hrow = t.cells[h]

@@ -199,8 +199,8 @@ def complete_from_row(
     p = base.n
     if not is_prime(p):
         raise InputError(f"completion requires prime order, got {p}")
-    if h == base.identity:
-        raise InputError("h must not be the identity")
+    if not 0 <= h < p or h == base.identity:
+        raise InputError(f"h must be a non-identity element of 0..{p - 1}, got {h}")
     if modified_row.n != p:
         raise InputError(f"row size {modified_row.n} != order {p}")
     sigma = modified_row.image
@@ -441,7 +441,7 @@ def _scope(n: int, scope: str) -> str:
     if resolved is None:
         raise InputError(f"scope must be one of {sorted(set(SCOPE_ALIASES))}")
     if n < 2:
-        raise InputError(f"stability needs at least two tables; order {n} has one")
+        raise InputError(f"stability needs order >= 2, got {n}")
     if n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"brute force capped at order {MAX_BRUTE_ORDER}, got {n}")
     if resolved == "nu" and is_prime(n):

@@ -290,6 +290,52 @@ class TestBasicCommands:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["mf", "TBL", "--perm", "   "], None, "empty permutation"),
+            (["mf", "TBL", "--cycles", "()"], None, "empty cycle in '()'"),
+            (["mf", "TBL", "--cycles", "(1 x)"], None, "bad cycle entry in '(1 x)'"),
+            (["mf", "TBL", "--perm", "0 1 2 x 4 5 6"], None, "bad image entry in '0 1 2 x 4 5 6'"),
+            (["mf", "TBL", "--perm", "0 1 2"], None, "expected 7 entries, got 3"),
+            (["mf", "TBL", "--cycles", "(1 9)"], None, "cycle entry 9 outside 0..6"),
+            (["make", "--kind", "cyclic:0"], None, "cyclic order must be >= 1, got 0"),
+            (["make", "--kind", "dihedral:0"], None, "dihedral parameter must be >= 1, got 0"),
+            (["validate", "TBL"], "", "empty table file"),
+            (["validate", "TBL"], "x\n", "first line must be the order n, got 'x'"),
+            (["validate", "TBL"], "2\n0 1\n", "expected 2 table rows, got 1"),
+            (["oracle", "--order", "0"], None, "stability needs order >= 2, got 0"),
+            (["oracle", "--order", "-3"], None, "stability needs order >= 2, got -3"),
+        ],
+        ids=[
+            "blank_perm",
+            "empty_cycle",
+            "bad_cycle_entry",
+            "bad_image_entry",
+            "short_perm",
+            "cycle_entry_outside",
+            "cyclic_0",
+            "dihedral_0",
+            "empty_file",
+            "order_not_int",
+            "missing_rows",
+            "oracle_order_0",
+            "oracle_order_negative",
+        ],
+    )
+    def test_malformed_input(self, capsys, tmp_path, argv, text, message):
+        # TBL names a table file: Z_7, or the given text
+        path = tmp_path / "t.tbl"
+        path.write_text(cyclic(7).to_text() if text is None else text)
+        code, out, err = run(capsys, *(str(path) if a == "TBL" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_cycles_without_parentheses_read_as_one_cycle(self, capsys, z7_file):
+        for cycles in ("1 2 3", "(1 2 3)"):
+            code, out, _ = run(capsys, "mf", z7_file, "--cycles", cycles)
+            assert code == 0 and out == "m_f = 31\n"
+
     def test_dist_paper_pair(self, capsys, z7_file, z7f_file):
         code, out, _ = run(capsys, "dist", z7_file, z7f_file)
         assert code == 0 and "dist = 18" in out

@@ -249,8 +249,7 @@ class TestGroupTableArray:
     def test_not_part_of_equality_or_hash(self):
         built = cyclic(9)
         bare = cd.GroupTable(built.n, built.cells, built.identity)
-        built.array
-        assert "array" in vars(built) and "array" not in vars(bare)
+        assert "array" in vars(built) and "array" in vars(bare)
         assert built == bare and hash(built) == hash(bare)
         assert {built: 1}[bare] == 1
 
@@ -287,7 +286,7 @@ class TestArrayFirstTable:
         for t in (cyclic(7), dihedral(4)):
             built = cd.transport(t, random_permutation(t.n, rng))
             bare = cd.GroupTable(built.n, tuple(map(tuple, built.array.tolist())), built.identity)
-            assert "cells" not in vars(built) and "array" not in vars(bare)
+            assert "cells" not in vars(built) and "array" in vars(bare)
             assert built == bare and bare == built
             assert hash(built) == hash(bare) and hash(bare) == hash(built)
             assert {built: 1}[bare] == 1 and {bare: 2}[built] == 2
@@ -312,6 +311,65 @@ class TestArrayFirstTable:
         assert repr(cd.GroupTable(2, ((1, 0), (0, 1)), 1)) == expected
 
 
+class TestStoredArray:
+    """Every table stores its read-only np.intp array from construction."""
+
+    def test_list_rows_equal_catalog_table(self):
+        bare = cd.GroupTable(2, [[0, 1], [1, 0]], 0)
+        z2 = cyclic(2)
+        assert bare == z2 and z2 == bare
+        assert hash(bare) == hash(z2) and {z2: 1}[bare] == 1
+
+    @pytest.mark.parametrize(
+        "n,cells",
+        [(3, ((0, 1), (1, 0))), (2, ((0, 1, 2), (1, 2, 0))), (2, (0, 1)), (1, 0), (2, ())],
+        ids=["rows_short", "rows_long", "flat", "scalar", "empty"],
+    )
+    def test_shape_other_than_n_by_n(self, n, cells):
+        with pytest.raises(DimensionMismatch, match=rf"expected \({n}, {n}\)$"):
+            cd.GroupTable(n, cells, 0)
+
+    def test_equality_and_hash_leave_cells_unbuilt(self):
+        rng = random.Random(8)
+        t = dihedral(5)
+        f = random_permutation(t.n, rng)
+        a, b = cd.transport(t, f), cd.transport(t, f)
+        other = cd.transport(t, cd.Permutation.transposition(t.n, 1, 2).compose(f))
+        assert a == b and hash(a) == hash(b) and a != other
+        assert len({a, b, other}) == 2
+        assert all("cells" not in vars(x) for x in (a, b, other))
+
+    def test_constructor_copies(self):
+        rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        arr = np.array(rows)
+        from_list, from_arr = cd.GroupTable(3, rows, 0), cd.GroupTable(3, arr, 0)
+        rows[0][0], arr[0, 0] = 2, 2
+        assert arr.flags.writeable
+        for t in (from_list, from_arr):
+            assert t == cyclic(3) and t.cells[0] == (0, 1, 2)
+            assert not t.array.flags.writeable and t.array is not arr
+
+    def test_every_path_stores_intp(self):
+        z4 = cyclic(4)
+        tables = [
+            z4,
+            cd.make_group(cd.GroupKind.parse("cyclic:4*cyclic:2")),
+            cd.transport(z4, cd.Permutation((1, 0, 3, 2))),
+            cd.validate_table([[True, False], [False, True]]),
+            cd.validate_table(np.array(z4.cells, dtype=np.int8)),
+            cd.GroupTable(4, np.array(z4.cells, dtype=np.uint8), 0),
+            cd.GroupTable(2, [[False, True], [True, False]], 0),
+        ]
+        for t in tables:
+            assert "array" in vars(t) and t.array.dtype == np.intp
+            assert t.array.shape == (t.n, t.n) and not t.array.flags.writeable
+        assert tables[-2] == z4 and tables[-1] == cyclic(2)
+
+    @pytest.mark.parametrize("name", ["array", "_key", "mul", "row"])
+    def test_no_second_form_or_alias(self, name):
+        assert name not in vars(cd.GroupTable)
+
+
 class TestMakeGroup:
     def test_cyclic_7_is_addition_mod_7(self):
         t = cyclic(7)
@@ -322,8 +380,8 @@ class TestMakeGroup:
         assert t.n == 10
         r, s = 1, 5
         assert t.element_order(r) == 5
-        assert t.mul(s, s) == t.identity
-        assert t.mul(t.mul(s, r), s) == t.inverse(r)
+        assert t.cells[s][s] == t.identity
+        assert t.cells[t.cells[s][r]][s] == t.inverse(r)
 
     def test_klein_four_is_xor(self):
         t = cd.make_group(cd.GroupKind.elementary_abelian(2))
@@ -565,7 +623,7 @@ class TestPower:
             x = z5.identity
             for k in range(8):
                 assert cd.power(z5, g, k) == x
-                x = z5.mul(x, g)
+                x = z5.cells[x][g]
 
 
 class TestPermutation:

@@ -109,6 +109,15 @@ class TestHomDistance:
         with pytest.raises(DimensionMismatch):
             cd.hom_distance([0, 1, 2, 3], z5, z5)
 
+    @pytest.mark.parametrize(
+        "img,shown",
+        [([0, 1, 2, 3, 4.7], "4.7"), ([0.5, 1, 2, 3, 4], "0.5"), (["0", 1, 2, 3, 4], "'0'")],
+        ids=["float_in_range", "float_first", "str"],
+    )
+    def test_image_not_an_integer(self, z5, img, shown):
+        with pytest.raises(InputError, match=rf"^map image {shown} is not an integer$"):
+            cd.hom_distance(img, z5, z5)
+
 
 class TestDelta0:
     def test_branches(self):
@@ -253,6 +262,11 @@ class TestMaxDisjointSubset:
 
     def test_singleton(self, z7):
         assert cd.max_disjoint_subset(z7, 1, [3]) == [3]
+
+    @pytest.mark.parametrize("h", [7, -1, 5])
+    def test_h_not_an_element(self, z5, h):
+        with pytest.raises(InputError, match=rf"^element {h} outside 0\.\.4$"):
+            cd.max_disjoint_subset(z5, h, (1, 2))
 
     def test_exhaustive_against_oracle(self):
         z11 = cyclic(11)

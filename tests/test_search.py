@@ -70,6 +70,15 @@ class TestCompleteFromRow:
         sigma = cd.Permutation(z5.cells[1])
         assert cd.complete_from_row(z5, 1, sigma) == z5
 
+    @pytest.mark.parametrize("h", [-1, 12, 11, 0])
+    def test_h_not_a_non_identity_element(self, h):
+        # sigma is row 10, which h = -1 must not reach as a negative index
+        z11 = cyclic(11)
+        sigma = cd.Permutation(z11.cells[10])
+        message = rf"^h must be a non-identity element of 0\.\.10, got {h}$"
+        with pytest.raises(InputError, match=message):
+            cd.complete_from_row(z11, h, sigma)
+
     def test_z5_worked_example(self, z5):
         # pattern (1,3)(2,4) applied to row [1,2,3,4,0] gives [1,4,0,2,3],
         # the 5-cycle (0 1 4 3 2)
@@ -78,7 +87,7 @@ class TestCompleteFromRow:
         assert sigma.image == (1, 4, 0, 2, 3)
         assert sigma.cycles() == [(0, 1, 4, 3, 2)]
         table = cd.complete_from_row(z5, 1, sigma)
-        assert table.row(1) == sigma.image
+        assert table.cells[1] == sigma.image
         assert cd.are_isomorphic(table, z5)[0]
         assert cd.dist(z5, table).total == oracle_dist(z5, table)
 
@@ -101,7 +110,7 @@ class TestCompleteFromRow:
                 table = cd.complete_from_row(z11, pat.h, sigma)
             except NotPCycle:
                 continue
-            assert table.row(pat.h) == sigma.image
+            assert table.cells[pat.h] == sigma.image
             cd.validate_table([list(r) for r in table.cells])
             checked += 1
         assert checked == 25
@@ -423,6 +432,17 @@ class TestBruteDelta:
             # One iso class: the canonical-representative reduction is the
             # global scan itself.
             assert cd.kind_stability(kinds[0], scope) == expected
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_order_below_two(self, n):
+        with pytest.raises(InputError, match=rf"^stability needs order >= 2, got {n}$"):
+            cd.brute_delta(n)
+
+    def test_kind_outside_catalog_labels(self):
+        # isomorphic to the catalog's cyclic:4*cyclic:2, but not listed under this label
+        kind = cd.GroupKind.parse("cyclic:2*cyclic:4")
+        with pytest.raises(InputError, match=r"^cyclic:2\*cyclic:4 is not a group of order 8"):
+            cd.kind_stability(kind, "mu")
 
     def test_unknown_scope(self):
         with pytest.raises(InputError, match="scope must be one of"):
