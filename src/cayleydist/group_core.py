@@ -173,14 +173,12 @@ class GroupTable:
     Immutable.  Every table holds its cells as a read-only (n, n) np.intp
     array from construction, and equality and hashing read (identity,
     array); cells, the rows as tuples, is built from the array on first
-    read.  The constructor copies cells and checks only their shape;
-    validate_table checks the group axioms.
+    read.  The constructor copies cells and checks only their shape and
+    that each cell is an integer; validate_table checks the group axioms.
     """
 
     def __init__(self, n: int, cells: Sequence[Sequence[int]], identity: int) -> None:
-        arr = np.array(cells, dtype=np.intp)
-        if arr.shape != (n, n):
-            raise DimensionMismatch(f"cells of shape {arr.shape}, expected ({n}, {n})")
+        arr = _integer_rows(cells, n)
         arr.setflags(write=False)
         vars(self).update(n=n, identity=identity, array=arr)
 
@@ -349,6 +347,39 @@ def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
             if not 0 <= v < n:
                 raise InputError(f"cell ({a},{b}) = {int(v)} outside 0..{n - 1}")
     return np.array(cells, dtype=np.intp)
+
+
+def _integer_rows(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """cells as an (n, n) np.intp array, for the GroupTable constructor.
+
+    Raises DimensionMismatch for ragged rows, naming the first row whose
+    length differs from row 0's, or for any other shape than (n, n), and
+    InputError at the first cell that is not an integer (ints, numpy
+    integers and bools are).  The shape and cells are read before numpy
+    converts them: np.array parses digit strings as integers and fails on
+    ragged rows with a bare ValueError.
+    """
+    rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
+    if not _is_sequence(rows):
+        shape: tuple[int, ...] = ()
+    elif not any(map(_is_sequence, rows)):
+        shape = (len(rows),)
+    else:
+        for a, row in enumerate(rows):
+            if not _is_sequence(row):
+                raise DimensionMismatch(f"row {a} = {row!r} is not a sequence")
+            if len(row) != len(rows[0]):
+                raise DimensionMismatch(
+                    f"row {a} has {len(row)} entries, row 0 has {len(rows[0])}"
+                )
+        shape = (len(rows), len(rows[0]))
+    if shape != (n, n):
+        raise DimensionMismatch(f"cells of shape {shape}, expected ({n}, {n})")
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            if not isinstance(v, INTEGER_TYPES):
+                raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
+    return np.array(rows, dtype=np.intp)
 
 
 def _dihedral_mul(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -156,85 +156,72 @@ def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
     return perm
 
 
-# Transpositions are scored in blocks of this many (u, v) pairs, so the
-# kernel's (B, n) arrays stay small; orders up to 32 take a single block.
-_PAIR_BLOCK = 512
-
-
 def min_transposition_mf(t: GroupTable) -> tuple[int, Permutation]:
     """Exhaustive minimum of the hom-distance over all transpositions.
 
-    For tau = (u v), a cell (a, b) can disagree only when a, b or ab lies
-    in {u, v}, and a cell with a, b outside {u, v} and ab inside always
-    disagrees: tau moves ab and fixes a and b.  So m_f(tau) is the sum of
-    three regions:
-
-    - the mismatches in rows u and v (2n cells);
-    - the mismatches in columns u and v outside those rows (2(n - 2) cells);
-    - #{(a, b) : a, b not in {u, v}, ab in {u, v}}, which is the number of
-      cells holding u or v in the whole table minus those in the first two
-      regions.
-
-    That is O(n) per transposition and O(n^3) in total.  The pairs run in
-    (u, v) lexicographic order, in blocks of _PAIR_BLOCK, and the witness is
-    the first minimizer.
+    Every transposition (u v), u < v, is scored exactly by
+    _transposition_mf, in O(1) numpy work per pair and O(n^2) in total.
+    The pairs run in (u, v) lexicographic order and the witness is the
+    first minimizer.  t must be a group table, as every table from
+    make_group, transport or validate_table is; on a table that is not,
+    the value is undefined.
     """
     n = t.n
     if n < 5:
         raise OrderTooSmall(f"need order >= 5, got {n}")
-    # The narrowest unsigned dtype holding 0..n-1 keeps every pass small.
-    dtype = np.min_scalar_type(n - 1)
-    cells = t.array.astype(dtype)
-    cols = np.ascontiguousarray(cells.T)
-    holding = np.bincount(cells.ravel(), minlength=n)
-    us, vs = (idx.astype(dtype) for idx in np.triu_indices(n, k=1))
-    best: Optional[int] = None
-    witness: Optional[tuple[int, int]] = None
-    for start in range(0, len(us), _PAIR_BLOCK):
-        u, v = us[start : start + _PAIR_BLOCK], vs[start : start + _PAIR_BLOCK]
-        mf = _transposition_mf(cells, cols, holding, u, v)
-        k = int(np.argmin(mf))
-        if best is None or mf[k] < best:
-            best, witness = int(mf[k]), (int(u[k]), int(v[k]))
-    assert best is not None and witness is not None
-    return best, Permutation.transposition(n, *witness)
+    us, vs = np.triu_indices(n, k=1)
+    mf = _transposition_mf(t, us, vs)
+    k = int(np.argmin(mf))
+    return int(mf[k]), Permutation.transposition(n, int(us[k]), int(vs[k]))
 
 
-def _transposition_mf(
-    cells: np.ndarray,
-    cols: np.ndarray,
-    holding: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    """m_f of each transposition (u[i] v[i]) by the three-region count of
-    min_transposition_mf; cols is the transposed table and holding[w] the
-    number of cells holding w."""
-    pair = np.arange(len(u))
-    uu, vv = u[:, None], v[:, None]
-    # Per cell of the (B, n) lines: +1 for a mismatch and -1 for a cell
-    # holding u or v, so that holding[u] + holding[v] adds only the third
-    # region.
-    acc = np.zeros((len(u), len(cells)), dtype=np.int8)
-    for lines in (cells, cols):
-        for w, w2 in ((u, v), (v, u)):
-            # Row w compares tau(w.b) with tau(w).tau(b) = w2.tau(b): row w2
-            # with entries u and v swapped.  Column w likewise compares
-            # tau(a.w) with tau(a).w2, read from the transposed table.
-            # Both gathers copy, so the writes below leave the table intact.
-            vals = lines[w]
-            at_u, at_v = vals == uu, vals == vv
-            other = lines[w2]
-            other[pair, u], other[pair, v] = other[pair, v], other[pair, u]
-            np.copyto(vals, vv, where=at_u)
-            np.copyto(vals, uu, where=at_v)
-            bad = vals != other
-            held = at_u | at_v
-            if lines is cols:  # the cells in rows u and v are counted above
-                bad[pair, u] = bad[pair, v] = held[pair, u] = held[pair, v] = False
-            acc += bad.view(np.int8)
-            acc -= held.view(np.int8)
-    return holding[u] + holding[v] + acc.sum(axis=1)
+def _transposition_mf(t: GroupTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_f of each transposition tau = (u[i] v[i]), u[i] != v[i], on the
+    group table t, from the group identities alone.
+
+    Write S = {u, v}, w' for the inverse of w, out(w) = [w not in S] and
+    eps = out(e).  A cell (a, b) can disagree only when a, b or ab lies in
+    S.  By where a and b lie:
+
+    - a, b outside S: the cell disagrees iff ab is in S.  Of the 2n cells
+      with ab in S, 4 have a in S, and those with b in S and a outside have
+      a in {e, vu'} (b = u) or {e, uv'} (b = v).  That leaves
+      2n - 4 - 2 eps - out(uv') - out(vu').
+    - a in S, b outside: (u, b) compares tau(ub) with vb.  They agree only
+      at b = e and at b = u'v when v.u'v = u, each if it lies outside S;
+      (v, b) likewise.  That leaves 2n - 4 - 2 eps
+      - [out(u'v) and v.u'v = u] - [out(v'u) and u.v'u = v].
+    - b in S, a outside: the mirror image, 2n - 4 - 2 eps
+      - [out(vu') and vu'.v = u] - [out(uv') and uv'.u = v].
+    - a, b in S: the four corner cells, compared directly.
+
+    The derivation uses inverses and associativity, so t must be a group.
+    The four products all say that u'v is an involution, I = [u'v = v'u].
+    And u'v lies in S iff u = e or v = u^2, as does vu', so
+    out(u'v) = out(vu') and out(v'u) = out(uv').  Summed:
+
+        m_f = 3 (2n - 4 - 2 eps) - (1 + 2 I)(out(uv') + out(vu')) + corner.
+    """
+    M, e = t.array, t.identity
+    inv = (M == e).argmax(1)
+    iu, iv = inv[u], inv[v]
+
+    def out(w: np.ndarray) -> np.ndarray:
+        return (w != u) & (w != v)
+
+    def tau(w: np.ndarray) -> np.ndarray:
+        return np.where(w == u, v, np.where(w == v, u, w))
+
+    involution = M[iu, v] == M[iv, u]
+    outs = out(M[u, iv]).astype(np.intp) + out(M[v, iu])
+    uu, uv, vu, vv = M[u, u], M[u, v], M[v, u], M[v, v]
+    corner = (
+        (tau(uu) != vv).astype(np.intp)
+        + (tau(uv) != vu)
+        + (tau(vu) != uv)
+        + (tau(vv) != uu)
+    )
+    return 3 * (2 * len(M) - 4 - 2 * out(e)) - (1 + 2 * involution) * outs + corner
 
 
 def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:
@@ -256,10 +243,12 @@ def max_disjoint_subset(
     t: GroupTable, h: int, disagree: Sequence[int]
 ) -> list[int]:
     """Largest Y within `disagree` with Y and h.Y disjoint; exhaustive."""
-    elems = sorted(set(disagree))
-    for x in (h, *elems):
+    for x in (h, *disagree):
+        if not isinstance(x, INTEGER_TYPES):
+            raise InputError(f"element {x!r} is not an integer")
         if not 0 <= x < t.n:
             raise InputError(f"element {x} outside 0..{t.n - 1}")
+    elems = sorted(set(disagree))
     hrow = t.cells[h]
     for size in range(len(elems), 0, -1):
         for sub in combinations(elems, size):

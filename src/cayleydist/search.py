@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedM,
 )
 from .group_core import (
+    INTEGER_TYPES,
     MAX_BRUTE_ORDER,
     GroupKind,
     GroupTable,
@@ -199,7 +200,7 @@ def complete_from_row(
     p = base.n
     if not is_prime(p):
         raise InputError(f"completion requires prime order, got {p}")
-    if not 0 <= h < p or h == base.identity:
+    if not isinstance(h, INTEGER_TYPES) or not 0 <= h < p or h == base.identity:
         raise InputError(f"h must be a non-identity element of 0..{p - 1}, got {h}")
     if modified_row.n != p:
         raise InputError(f"row size {modified_row.n} != order {p}")

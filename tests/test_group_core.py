@@ -329,6 +329,32 @@ class TestStoredArray:
         with pytest.raises(DimensionMismatch, match=rf"expected \({n}, {n}\)$"):
             cd.GroupTable(n, cells, 0)
 
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ([[0, 1], [1]], "row 1 has 1 entries, row 0 has 2"),
+            ([[0, 1], 1], "row 1 = 1 is not a sequence"),
+            ([0, [1, 0]], "row 0 = 0 is not a sequence"),
+        ],
+        ids=["short_row", "scalar_row", "scalar_first"],
+    )
+    def test_ragged_rows_name_the_first_bad_row(self, cells, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            cd.GroupTable(2, cells, 0)
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ([["1", "0"], ["0", "1"]], "cell (0,0) = '1' is not an integer"),
+            ([[0, 1], [1, 0.0]], "cell (1,1) = 0.0 is not an integer"),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "cell (0,0) = 0.0 is not an integer"),
+        ],
+        ids=["digit_strings", "float_cell", "float_array"],
+    )
+    def test_cell_not_an_integer(self, cells, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.GroupTable(2, cells, 0)
+
     def test_equality_and_hash_leave_cells_unbuilt(self):
         rng = random.Random(8)
         t = dihedral(5)

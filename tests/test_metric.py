@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import cayleydist as cd
@@ -209,14 +210,24 @@ class TestMinTransposition:
         for t in (base, moved):
             assert cd.min_transposition_mf(t) == oracle_min_transposition(t)
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_witness_independent_of_block_size(self, monkeypatch, block):
-        # many pairs tie at the minimum, so a tie broken towards a later
-        # block would change the witness
-        monkeypatch.setattr(metric, "_PAIR_BLOCK", block)
-        for label in ("cyclic:13", "dihedral:7", "q8"):
-            t = cd.make_group(cd.GroupKind.parse(label))
-            assert cd.min_transposition_mf(t) == oracle_min_transposition(t)
+    @pytest.mark.parametrize(
+        "label",
+        ["cyclic:3*cyclic:3", "e2:4", "cyclic:2*dihedral:3", "q8*cyclic:3"]
+        + ["dihedral:7", "cyclic:13"],
+    )
+    def test_every_transposition_matches_oracle(self, label):
+        # every value, not only the minimum, on non-abelian products and on
+        # a transport that moves the identity off 0
+        base = cd.make_group(cd.GroupKind.parse(label))
+        moved = cd.transport(base, random_permutation(base.n, random.Random(label)))
+        assert moved.identity != 0
+        for t in (base, moved):
+            us, vs = np.triu_indices(t.n, k=1)
+            expected = [
+                oracle_mf(cd.Permutation.transposition(t.n, u, v), t, t)
+                for u, v in zip(us.tolist(), vs.tolist())
+            ]
+            assert metric._transposition_mf(t, us, vs).tolist() == expected
 
     @pytest.mark.parametrize("label", ["cyclic:61", "cyclic:101", "dihedral:50", "dihedral:51"])
     def test_large_order_equals_delta0(self, label):
@@ -267,6 +278,11 @@ class TestMaxDisjointSubset:
     def test_h_not_an_element(self, z5, h):
         with pytest.raises(InputError, match=rf"^element {h} outside 0\.\.4$"):
             cd.max_disjoint_subset(z5, h, (1, 2))
+
+    @pytest.mark.parametrize("h,disagree", [(1.5, (1, 2)), (1, (1.5,))])
+    def test_element_not_an_integer(self, z5, h, disagree):
+        with pytest.raises(InputError, match=r"^element 1\.5 is not an integer$"):
+            cd.max_disjoint_subset(z5, h, disagree)
 
     def test_exhaustive_against_oracle(self):
         z11 = cyclic(11)

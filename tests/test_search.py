@@ -70,7 +70,7 @@ class TestCompleteFromRow:
         sigma = cd.Permutation(z5.cells[1])
         assert cd.complete_from_row(z5, 1, sigma) == z5
 
-    @pytest.mark.parametrize("h", [-1, 12, 11, 0])
+    @pytest.mark.parametrize("h", [-1, 12, 11, 0, 1.0])
     def test_h_not_a_non_identity_element(self, h):
         # sigma is row 10, which h = -1 must not reach as a negative index
         z11 = cyclic(11)
