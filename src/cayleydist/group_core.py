@@ -1,12 +1,13 @@
 """Finite-group Cayley tables on the element set {0, ..., n-1}.
 
-Tables are immutable; every constructor either builds a table that is a
-group by construction (make_group, transport) or runs the full validation
-pass (validate_table).  Every table holds its read-only array from
-construction, equality and hashing read it, and the cells tuple is built
-only when cells is first read.  validate_table rejects an input that is
-not a sequence of rows.  Identity is located by scan -- ingested tables
-need not place it at 0.
+Tables are immutable; make_group and transport build a group by
+construction, validate_table checks the group axioms, and the GroupTable
+constructor checks none.  The constructor and validate_table read cells
+through one reader, which names the first shape or cell offender, and
+check_element is the one rule for an element argument.  Every table holds
+its read-only array from construction, equality and hashing read it, and
+the cells tuple is built only when cells is first read.  Identity is
+located by scan -- ingested tables need not place it at 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ from .errors import (
     NotLatin,
     OrderTooLarge,
 )
+
+
+# The types that count as an integer input: ints, numpy integers and bools.
+INTEGER_TYPES = (int, np.integer, np.bool_)
+
+
+def check_element(v: object, n: int, what: str, error: type[InputError] = InputError) -> None:
+    """Raise error unless v is an integer in 0..n-1; the message leads with
+    what, the name of v, and shows the offending value."""
+    if not isinstance(v, INTEGER_TYPES):
+        raise error(f"{what} {v!r} is not an integer")
+    if not 0 <= v < n:
+        raise error(f"{what} {int(v)} outside 0..{n - 1}")
 
 
 def is_prime(n: int) -> bool:
@@ -53,6 +67,9 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.image)
+        if not all(map(isinstance, self.image, itertools.repeat(INTEGER_TYPES))):
+            for v in self.image:
+                check_element(v, n, "image entry", InvalidPermutation)
         if sorted(self.image) != list(range(n)):
             raise InvalidPermutation(f"not a bijection of 0..{n - 1}: {self.image}")
 
@@ -119,8 +136,7 @@ class Permutation:
         touched: set[int] = set()
         for cyc in cycles:
             for x in cyc:
-                if not 0 <= x < n:
-                    raise InvalidPermutation(f"cycle entry {x} outside 0..{n - 1}")
+                check_element(x, n, "cycle entry", InvalidPermutation)
                 if x in touched:
                     raise InvalidPermutation(f"element {x} appears in two cycles")
                 touched.add(x)
@@ -173,12 +189,14 @@ class GroupTable:
     Immutable.  Every table holds its cells as a read-only (n, n) np.intp
     array from construction, and equality and hashing read (identity,
     array); cells, the rows as tuples, is built from the array on first
-    read.  The constructor copies cells and checks only their shape and
-    that each cell is an integer; validate_table checks the group axioms.
+    read.  The constructor copies cells, read as validate_table reads them,
+    and checks that identity is an element; it does not check the group
+    axioms, which validate_table does.
     """
 
     def __init__(self, n: int, cells: Sequence[Sequence[int]], identity: int) -> None:
-        arr = _integer_rows(cells, n)
+        arr = _cell_array(cells, n)
+        check_element(identity, n, "identity")
         arr.setflags(write=False)
         vars(self).update(n=n, identity=identity, array=arr)
 
@@ -212,9 +230,11 @@ class GroupTable:
         return tuple(map(tuple, self.array.tolist()))
 
     def inverse(self, a: int) -> int:
+        check_element(a, self.n, "element")
         return self.cells[a].index(self.identity)
 
     def element_order(self, g: int) -> int:
+        check_element(g, self.n, "element")
         k, x = 1, g
         while x != self.identity:
             # In a group the walk returns to the identity within n steps.
@@ -266,17 +286,15 @@ def _int_or_token(tok: str) -> int | str:
 def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     """Check the Latin property, a unique two-sided identity, associativity.
 
-    Raises InputError for an input that is not a sequence of rows, and
-    InputError / NotLatin / NoIdentity / NotAssociative naming the first
-    offender.  Each pass runs on the whole array; Python walks only the
-    offending row or column, to name the offender as a row-major scan would.
+    Reads cells as the constructor does, then raises NotLatin / NoIdentity
+    / NotAssociative naming the first offender.  Each pass runs on the whole
+    array; Python walks only the offending row or column, to name the
+    offender as a row-major scan would.
     """
-    if not _is_sequence(cells):
-        raise InputError(f"table {cells!r} is not a sequence of rows")
-    n = len(cells)
+    arr = _cell_array(cells)
+    n = len(arr)
     if n == 0:
         raise InputError("empty table")
-    arr = _cell_array(cells, n)
     # A line is Latin iff each value occurs once in it: count (line, value).
     line = np.arange(n)
     for lines, name, other in ((arr, "row", "columns"), (arr.T, "column", "rows")):
@@ -315,17 +333,18 @@ def _is_sequence(x: object) -> bool:
     return not isinstance(x, (str, bytes)) and (isinstance(x, Sequence) or np.ndim(x) > 0)
 
 
-# The types that count as an integer input: ints, numpy integers and bools.
-INTEGER_TYPES = (int, np.integer, np.bool_)
+def _cell_array(cells: Sequence[Sequence[int]], n: Optional[int] = None) -> np.ndarray:
+    """cells as an (n, n) np.intp array of values in 0..n-1; n defaults to
+    the number of rows.
 
-
-def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """cells as an (n, n) np.intp array of values in 0..n-1.
-
-    Raises InputError at the first offender of a row-major scan: a row that
-    is not a sequence, a row without n entries, a cell that is not an
-    integer (ints, numpy integers and bools are) or lies outside 0..n-1.
+    Raises at the first offender of a row-major scan: DimensionMismatch
+    for a table that is not a sequence of n rows or a row that is not a
+    sequence of n entries, InputError for a cell that is not an integer
+    (ints, numpy integers and bools are) or lies outside 0..n-1.
     """
+    if not _is_sequence(cells):
+        raise DimensionMismatch(f"table {cells!r} is not a sequence of rows")
+    n = len(cells) if n is None else n
     try:
         arr = np.array(cells)
     except ValueError:  # ragged rows, or a cell holds a sequence
@@ -335,51 +354,18 @@ def _cell_array(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
         if ((arr >= 0) & (arr < n)).all():
             return arr
     # The input values, not a converted array: numpy infers float64 for
-    # [0, 2**63] and truncates a float cast to an integer dtype.
+    # [0, 2**63], and a cast to an integer dtype truncates floats and parses
+    # digit strings.
+    if len(cells) != n:
+        raise DimensionMismatch(f"table has {len(cells)} rows, expected {n}")
     for a, row in enumerate(cells):
         if not _is_sequence(row):
-            raise InputError(f"row {a} = {row!r} is not a sequence")
+            raise DimensionMismatch(f"row {a} = {row!r} is not a sequence")
         if len(row) != n:
-            raise InputError(f"row {a} has {len(row)} entries, expected {n}")
+            raise DimensionMismatch(f"row {a} has {len(row)} entries, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, INTEGER_TYPES):
-                raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
-            if not 0 <= v < n:
-                raise InputError(f"cell ({a},{b}) = {int(v)} outside 0..{n - 1}")
+            check_element(v, n, f"cell ({a},{b}) =")
     return np.array(cells, dtype=np.intp)
-
-
-def _integer_rows(cells: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """cells as an (n, n) np.intp array, for the GroupTable constructor.
-
-    Raises DimensionMismatch for ragged rows, naming the first row whose
-    length differs from row 0's, or for any other shape than (n, n), and
-    InputError at the first cell that is not an integer (ints, numpy
-    integers and bools are).  The shape and cells are read before numpy
-    converts them: np.array parses digit strings as integers and fails on
-    ragged rows with a bare ValueError.
-    """
-    rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
-    if not _is_sequence(rows):
-        shape: tuple[int, ...] = ()
-    elif not any(map(_is_sequence, rows)):
-        shape = (len(rows),)
-    else:
-        for a, row in enumerate(rows):
-            if not _is_sequence(row):
-                raise DimensionMismatch(f"row {a} = {row!r} is not a sequence")
-            if len(row) != len(rows[0]):
-                raise DimensionMismatch(
-                    f"row {a} has {len(row)} entries, row 0 has {len(rows[0])}"
-                )
-        shape = (len(rows), len(rows[0]))
-    if shape != (n, n):
-        raise DimensionMismatch(f"cells of shape {shape}, expected ({n}, {n})")
-    for a, row in enumerate(rows):
-        for b, v in enumerate(row):
-            if not isinstance(v, INTEGER_TYPES):
-                raise InputError(f"cell ({a},{b}) = {v!r} is not an integer")
-    return np.array(rows, dtype=np.intp)
 
 
 def _dihedral_mul(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -508,10 +494,9 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
 
 def power(t: GroupTable, g: int, k: int) -> int:
     """g composed with itself k times; the identity for k = 0."""
-    if not 0 <= g < t.n:
-        raise InputError(f"element {g} outside 0..{t.n - 1}")
-    if k < 0:
-        raise InputError(f"exponent must be >= 0, got {k}")
+    check_element(g, t.n, "element")
+    if not isinstance(k, INTEGER_TYPES) or k < 0:
+        raise InputError(f"exponent must be an integer >= 0, got {k!r}")
     x = t.identity
     for _ in range(k):
         x = t.cells[x][g]

@@ -26,11 +26,11 @@ from .errors import (
     OrderTooSmall,
 )
 from .group_core import (
-    INTEGER_TYPES,
     MAX_BRUTE_ORDER,
     GroupTable,
     Permutation,
     are_isomorphic,
+    check_element,
     is_dihedral_twice_odd,
     is_prime,
 )
@@ -85,10 +85,7 @@ def hom_distance(f: MapLike, h: GroupTable, k: GroupTable) -> int:
     # A permutation's images lie in 0..h.n-1 already.
     if not (isinstance(f, Permutation) and h.n <= k.n):
         for v in img:
-            if not isinstance(v, INTEGER_TYPES):
-                raise InputError(f"map image {v!r} is not an integer")
-            if not 0 <= v < k.n:
-                raise InputError(f"map image {v} outside 0..{k.n - 1}")
+            check_element(v, k.n, "map image")
     fi = np.asarray(img, dtype=np.intp)
     # k.array[fi[:, None], fi] holds f(a)*f(b); two takes build it faster.
     return int(np.count_nonzero(fi[h.array] != k.array.take(fi, 0).take(fi, 1)))
@@ -244,10 +241,7 @@ def max_disjoint_subset(
 ) -> list[int]:
     """Largest Y within `disagree` with Y and h.Y disjoint; exhaustive."""
     for x in (h, *disagree):
-        if not isinstance(x, INTEGER_TYPES):
-            raise InputError(f"element {x!r} is not an integer")
-        if not 0 <= x < t.n:
-            raise InputError(f"element {x} outside 0..{t.n - 1}")
+        check_element(x, t.n, "element")
     elems = sorted(set(disagree))
     hrow = t.cells[h]
     for size in range(len(elems), 0, -1):

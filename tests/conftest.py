@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cayleydist as cd
-from cayleydist.errors import InputError, NoIdentity, NotLatin
+from cayleydist.errors import DimensionMismatch, InputError, NoIdentity, NotLatin
 from cayleydist.metric import LemmaViolation
 from cayleydist import search
 from cayleydist.search import all_group_tables
@@ -278,14 +278,15 @@ def estim1_bound(n: int, m: int) -> int:
 
 
 def oracle_first_invalid(cells) -> tuple[type, str] | None:
-    """The error class and message for the first range, Latin or identity
-    offender of a row-by-row scan, or None if the table passes them all."""
+    """The error class and message for the first shape, range, Latin or
+    identity offender of a row-by-row scan, or None if the table passes
+    them all."""
     n = len(cells)
     for a, row in enumerate(cells):
         if not hasattr(row, "__len__"):
-            return InputError, f"row {a} = {row!r} is not a sequence"
+            return DimensionMismatch, f"row {a} = {row!r} is not a sequence"
         if len(row) != n:
-            return InputError, f"row {a} has {len(row)} entries, expected {n}"
+            return DimensionMismatch, f"row {a} has {len(row)} entries, expected {n}"
         for b, v in enumerate(row):
             if not isinstance(v, (int, np.integer, np.bool_)):
                 return InputError, f"cell ({a},{b}) = {v!r} is not an integer"

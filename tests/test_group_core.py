@@ -321,18 +321,24 @@ class TestStoredArray:
         assert hash(bare) == hash(z2) and {z2: 1}[bare] == 1
 
     @pytest.mark.parametrize(
-        "n,cells",
-        [(3, ((0, 1), (1, 0))), (2, ((0, 1, 2), (1, 2, 0))), (2, (0, 1)), (1, 0), (2, ())],
+        "n,cells,message",
+        [
+            (3, ((0, 1), (1, 0)), "table has 2 rows, expected 3"),
+            (2, ((0, 1, 2), (1, 2, 0)), "row 0 has 3 entries, expected 2"),
+            (2, (0, 1), "row 0 = 0 is not a sequence"),
+            (1, 0, "table 0 is not a sequence of rows"),
+            (2, (), "table has 0 rows, expected 2"),
+        ],
         ids=["rows_short", "rows_long", "flat", "scalar", "empty"],
     )
-    def test_shape_other_than_n_by_n(self, n, cells):
-        with pytest.raises(DimensionMismatch, match=rf"expected \({n}, {n}\)$"):
+    def test_shape_other_than_n_by_n(self, n, cells, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             cd.GroupTable(n, cells, 0)
 
     @pytest.mark.parametrize(
         "cells,message",
         [
-            ([[0, 1], [1]], "row 1 has 1 entries, row 0 has 2"),
+            ([[0, 1], [1]], "row 1 has 1 entries, expected 2"),
             ([[0, 1], 1], "row 1 = 1 is not a sequence"),
             ([0, [1, 0]], "row 0 = 0 is not a sequence"),
         ],
@@ -347,13 +353,42 @@ class TestStoredArray:
         [
             ([["1", "0"], ["0", "1"]], "cell (0,0) = '1' is not an integer"),
             ([[0, 1], [1, 0.0]], "cell (1,1) = 0.0 is not an integer"),
-            (np.array([[0.0, 1.0], [1.0, 0.0]]), "cell (0,0) = 0.0 is not an integer"),
+            (
+                np.array([[0.0, 1.0], [1.0, 0.0]]),
+                f"cell (0,0) = {np.float64(0.0)!r} is not an integer",
+            ),
         ],
         ids=["digit_strings", "float_cell", "float_array"],
     )
     def test_cell_not_an_integer(self, cells, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             cd.GroupTable(2, cells, 0)
+
+    @pytest.mark.parametrize("kind", ["range", "ragged", "noninteger", "notrow"])
+    def test_constructor_reads_cells_as_validate_table(self, kind):
+        # one reader: every shape or cell offender gets one class and message
+        rng = random.Random(kind)
+        tables = [_broken_table(kind, rng) for _ in range(150)]
+        tables.append([[0, 1], [1, 2**70]])
+        for cells in tables:
+            with pytest.raises(InputError) as lib:
+                cd.validate_table(cells)
+            with pytest.raises(InputError) as bare:
+                cd.GroupTable(len(cells), cells, 0)
+            assert (type(bare.value), str(bare.value)) == (type(lib.value), str(lib.value))
+        assert str(bare.value) == f"cell (1,1) = {2**70} outside 0..1"
+
+    @pytest.mark.parametrize(
+        "identity, message",
+        [
+            (7, "identity 7 outside 0..1"),
+            (-1, "identity -1 outside 0..1"),
+            (1.0, "identity 1.0 is not an integer"),
+        ],
+    )
+    def test_identity_not_an_element(self, identity, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.GroupTable(2, cyclic(2).cells, identity)
 
     def test_equality_and_hash_leave_cells_unbuilt(self):
         rng = random.Random(8)
@@ -652,6 +687,22 @@ class TestPower:
                 x = z5.cells[x][g]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: t.element_order(-1), "element -1 outside 0..4"),
+        (lambda t: t.inverse(-1), "element -1 outside 0..4"),
+        (lambda t: cd.power(t, 1.5, 2), "element 1.5 is not an integer"),
+        (lambda t: cd.power(t, 1, 2.0), "exponent must be an integer >= 0, got 2.0"),
+    ],
+    ids=["element_order", "inverse", "power_element", "power_exponent"],
+)
+def test_element_argument_checked(z5, call, message):
+    # -1 would otherwise index the last row or column
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(z5)
+
+
 class TestPermutation:
     def test_parse_image_line(self):
         p = cd.Permutation.parse("0 1 4 5 2 3 6")
@@ -678,6 +729,19 @@ class TestPermutation:
         for _ in range(20):
             p = random_permutation(6, rng)
             assert p.compose(p.inverse()) == cd.Permutation.identity(6)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: cd.Permutation((1.0, 0.0, 2.0, 3.0, 4.0)), "image entry 1.0 is not an integer"),
+            (lambda: cd.Permutation((0, "1")), "image entry '1' is not an integer"),
+            (lambda: cd.Permutation.from_cycles(3, [(0.0, 1.0)]), "cycle entry 0.0 is not an integer"),
+        ],
+        ids=["float_image", "str_image", "float_cycle"],
+    )
+    def test_entry_not_an_integer(self, build, message):
+        with pytest.raises(InvalidPermutation, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_invalid(self):
         with pytest.raises(InvalidPermutation):
