@@ -3,10 +3,12 @@
 Tables are immutable; make_group and transport build a group by
 construction, validate_table checks the group axioms, and the GroupTable
 constructor checks none.  The constructor and validate_table read cells
-through one reader, which names the first shape or cell offender, and
-check_element is the one rule for an element argument.  Every table holds
-its read-only array from construction, equality and hashing read it, and
-the cells tuple is built only when cells is first read.  Identity is
+through one reader, which names the first shape or cell offender (an empty
+table among them), and check_element is the one rule for an element
+argument.  Every table holds its read-only array from construction, and
+equality, hashing and the library's kernels read it; the n x n cells tuple
+is built only when cells is first read, which no call of validate_table,
+transport, the pair kernels or reconstruct_isomorphism does.  Identity is
 located by scan -- ingested tables need not place it at 0.
 """
 
@@ -78,6 +80,7 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, x: int) -> int:
+        check_element(x, self.n, "element")
         return self.image[x]
 
     def inverse(self) -> "Permutation":
@@ -235,12 +238,13 @@ class GroupTable:
 
     def element_order(self, g: int) -> int:
         check_element(g, self.n, "element")
+        times_g = self.array[:, g].tolist()
         k, x = 1, g
         while x != self.identity:
             # In a group the walk returns to the identity within n steps.
             if k >= self.n:
                 raise InputError(f"element {g} does not reach the identity in {self.n} steps")
-            x = self.cells[x][g]
+            x = times_g[x]
             k += 1
         return k
 
@@ -293,8 +297,6 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     """
     arr = _cell_array(cells)
     n = len(arr)
-    if n == 0:
-        raise InputError("empty table")
     # A line is Latin iff each value occurs once in it: count (line, value).
     line = np.arange(n)
     for lines, name, other in ((arr, "row", "columns"), (arr.T, "column", "rows")):
@@ -337,14 +339,17 @@ def _cell_array(cells: Sequence[Sequence[int]], n: Optional[int] = None) -> np.n
     """cells as an (n, n) np.intp array of values in 0..n-1; n defaults to
     the number of rows.
 
-    Raises at the first offender of a row-major scan: DimensionMismatch
-    for a table that is not a sequence of n rows or a row that is not a
-    sequence of n entries, InputError for a cell that is not an integer
-    (ints, numpy integers and bools are) or lies outside 0..n-1.
+    Raises InputError for n = 0, then at the first offender of a row-major
+    scan: DimensionMismatch for a table that is not a sequence of n rows or
+    a row that is not a sequence of n entries, InputError for a cell that
+    is not an integer (ints, numpy integers and bools are) or lies outside
+    0..n-1.
     """
     if not _is_sequence(cells):
         raise DimensionMismatch(f"table {cells!r} is not a sequence of rows")
     n = len(cells) if n is None else n
+    if n == 0:
+        raise InputError("empty table")
     try:
         arr = np.array(cells)
     except ValueError:  # ragged rows, or a cell holds a sequence
@@ -507,12 +512,13 @@ def _span(t: GroupTable, gens: Sequence[int]) -> dict[int, tuple[int, int]]:
     """The elements reached from the identity by right multiplication by
     gens, walked breadth-first: in a group, the subgroup gens generate.
     Each y maps to the (x, i) that first reached it, y = x * gens[i], and
-    the identity to (-1, -1); keys come in walk order, x before its y."""
+    the identity to (-1, -1); keys come in walk order, x before its y.
+    Reads only the gens columns of t.array, O(n |gens|), not cells."""
+    times_gens = t.array[:, gens].tolist()
     reached = {t.identity: (-1, -1)}
     walk = [t.identity]
     for x in walk:
-        for i, g in enumerate(gens):
-            y = t.cells[x][g]
+        for i, y in enumerate(times_gens[x]):
             if y not in reached:
                 reached[y] = (x, i)
                 walk.append(y)

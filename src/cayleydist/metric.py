@@ -104,52 +104,67 @@ def delta0(t: GroupTable) -> int:
 
 def light_set(a: GroupTable, b: GroupTable) -> list[int]:
     """Rows where the tables nearly agree: {g : d(g) < n/3}, strict."""
-    return _light_rows(dist(a, b))
+    return _light_rows(_mismatches(a, b)[1]).tolist()
 
 
-def _light_rows(prof: DistanceProfile) -> list[int]:
-    return [g for g, d in enumerate(prof.row) if 3 * d < prof.n]
+def _light_rows(d: np.ndarray) -> np.ndarray:
+    """The g with 3 d[g] < n, ascending, for the row distances d."""
+    return np.flatnonzero(3 * d < len(d))
 
 
 def reconstruct_isomorphism(a: GroupTable, b: GroupTable) -> Permutation:
     """Rebuild the isomorphism fixing the light set pointwise.
 
-    Requires |K| > 3n/4 for K = {g : d(g) < n/3}.  Every factorization
-    g = x.y with x, y in K is checked for consistency rather than trusted;
-    an inconsistency on valid group inputs indicates a bug.
+    Requires |K| > 3n/4 for K = {g : d(g) < n/3}.  f(xy) is read from
+    b's cell (x, y) for x, y in K, as arrays over the K x K blocks of both
+    tables.  Every factorization is checked rather than trusted, and an
+    inconsistency on valid group inputs indicates a bug.  The checks run
+    in this order, each naming its first offender:
+
+    - factorizations that disagree: the first cell of a row-major scan of
+      K x K whose value differs from that of its element's first cell;
+    - an element with no factorization inside K: the least;
+    - a light element that f moves: the least;
+    - f not a bijection, then f not an isomorphism (hom_distance > 0);
+    - a heavy row, d(g) > 2n/3, that f fixes: the least g.
     """
     n = a.n
-    prof = dist(a, b)
-    K = _light_rows(prof)
+    d = _mismatches(a, b)[1]
+    K = _light_rows(d)
     if 4 * len(K) <= 3 * n:
         raise HypothesisNotMet(f"|K| = {len(K)} <= 3n/4 = {3 * n / 4:g}")
-    f = [-1] * n
-    for x in K:
-        arow, brow = a.cells[x], b.cells[x]
-        for y in K:
-            g, v = arow[y], brow[y]
-            if f[g] == -1:
-                f[g] = v
-            elif f[g] != v:
-                raise InconsistentFactorizations(
-                    f"element {g}: factorizations disagree ({f[g]} vs {v})"
-                )
-    for g in range(n):
-        if f[g] == -1:
-            raise InconsistentFactorizations(
-                f"element {g} has no factorization inside the light set"
-            )
-    for x in K:
-        if f[x] != x:
-            raise InconsistentFactorizations(f"light element {x} moved to {f[x]}")
-    if sorted(f) != list(range(n)):
+    g = a.array.take(K, 0).take(K, 1).ravel()
+    v = b.array.take(K, 0).take(K, 1).ravel()
+    # A fancy write with a repeated index leaves unspecified which value
+    # wins, which matters only if the values differ.  Then each element
+    # takes the value at its first cell in the scan (np.unique returns
+    # first occurrences), and the first cell that differs is named.
+    f = np.full(n, -1, dtype=np.intp)
+    f[g] = v
+    if (v != f[g]).any():
+        elements, first = np.unique(g, return_index=True)
+        f[elements] = v[first]
+        i = int(np.argmax(v != f[g]))
+        raise InconsistentFactorizations(
+            f"element {g[i]}: factorizations disagree ({f[g[i]]} vs {v[i]})"
+        )
+    if (f < 0).any():
+        raise InconsistentFactorizations(
+            f"element {int(np.argmax(f < 0))} has no factorization inside the light set"
+        )
+    moved = f[K] != K
+    if moved.any():
+        x = K[np.argmax(moved)]
+        raise InconsistentFactorizations(f"light element {x} moved to {f[x]}")
+    if (np.bincount(f, minlength=n) != 1).any():
         raise InconsistentFactorizations("reconstructed map is not a bijection")
-    perm = Permutation(tuple(f))
+    perm = Permutation(tuple(f.tolist()))
     if hom_distance(perm, a, b) != 0:
         raise InconsistentFactorizations("reconstructed map is not an isomorphism")
-    for g, d in enumerate(prof.row):
-        if 3 * d > 2 * n and f[g] == g:
-            raise InconsistentFactorizations(f"heavy row {g} (d={d}) is fixed")
+    heavy_fixed = (3 * d > 2 * n) & (f == np.arange(n))
+    if heavy_fixed.any():
+        h = int(np.argmax(heavy_fixed))
+        raise InconsistentFactorizations(f"heavy row {h} (d={d[h]}) is fixed")
     return perm
 
 

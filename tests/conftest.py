@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import cayleydist as cd
-from cayleydist.errors import DimensionMismatch, InputError, NoIdentity, NotLatin
+from cayleydist.errors import (
+    DimensionMismatch,
+    HypothesisNotMet,
+    InconsistentFactorizations,
+    InputError,
+    NoIdentity,
+    NotLatin,
+)
 from cayleydist.metric import LemmaViolation
 from cayleydist import search
 from cayleydist.search import all_group_tables
@@ -407,3 +414,170 @@ def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable,
         cd.validate_table(tables[best_pair[0]]),
         cd.validate_table(tables[best_pair[1]]),
     )
+
+
+def oracle_span(t: cd.GroupTable, gens) -> dict[int, tuple[int, int]]:
+    """group_core._span as a breadth-first walk over the cells tuple."""
+    reached = {t.identity: (-1, -1)}
+    walk = [t.identity]
+    for x in walk:
+        for i, g in enumerate(gens):
+            y = t.cells[x][g]
+            if y not in reached:
+                reached[y] = (x, i)
+                walk.append(y)
+    return reached
+
+
+def oracle_reconstruct(a: cd.GroupTable, b: cd.GroupTable) -> cd.Permutation:
+    """reconstruct_isomorphism as a loop over the cells (x, y) of K x K,
+    row-major, setting f(xy) from the first factorization and checking
+    every later one against it."""
+    n = a.n
+    prof = cd.dist(a, b)
+    K = [g for g, d in enumerate(prof.row) if 3 * d < n]
+    if 4 * len(K) <= 3 * n:
+        raise HypothesisNotMet(f"|K| = {len(K)} <= 3n/4 = {3 * n / 4:g}")
+    f = [-1] * n
+    for x in K:
+        arow, brow = a.cells[x], b.cells[x]
+        for y in K:
+            g, v = arow[y], brow[y]
+            if f[g] == -1:
+                f[g] = v
+            elif f[g] != v:
+                raise InconsistentFactorizations(
+                    f"element {g}: factorizations disagree ({f[g]} vs {v})"
+                )
+    for g in range(n):
+        if f[g] == -1:
+            raise InconsistentFactorizations(
+                f"element {g} has no factorization inside the light set"
+            )
+    for x in K:
+        if f[x] != x:
+            raise InconsistentFactorizations(f"light element {x} moved to {f[x]}")
+    if sorted(f) != list(range(n)):
+        raise InconsistentFactorizations("reconstructed map is not a bijection")
+    perm = cd.Permutation(tuple(f))
+    if cd.hom_distance(perm, a, b) != 0:
+        raise InconsistentFactorizations("reconstructed map is not an isomorphism")
+    for g, d in enumerate(prof.row):
+        if 3 * d > 2 * n and f[g] == g:
+            raise InconsistentFactorizations(f"heavy row {g} (d={d}) is fixed")
+    return perm
+
+
+def outcome(call, *args):
+    """call(*args), or the class and message of the InputError or
+    ViolationError it raises."""
+    try:
+        return call(*args)
+    except (InputError, cd.ViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def _relabelled(cells: list[list[int]], phi) -> list[list[int]]:
+    return [[phi(v) for v in row] for row in cells]
+
+
+def reconstruct_branch_cases() -> dict[str, tuple[cd.GroupTable, cd.GroupTable, type, str]]:
+    """Pairs (a, b) that reach each failure branch of reconstruct_isomorphism,
+    with the class and message it raises there.  All but the first are built
+    by the GroupTable constructor, which checks no group axioms: on groups,
+    the branches after the hypothesis check cannot be reached."""
+    z8 = [[(x + y) % 8 for y in range(8)] for x in range(8)]
+    cases = {}
+
+    # Z_7 and its transport by (2 4)(3 5): every row but 0 differs in 3 >= 7/3
+    # cells.
+    z7 = cyclic(7)
+    moved = cd.transport(z7, cd.Permutation((0, 1, 4, 5, 2, 3, 6)))
+    cases["hypothesis"] = (z7, moved, HypothesisNotMet, "|K| = 1 <= 3n/4 = 5.25")
+
+    # One cell of Z_8 changed: 1*1 reads 5, while 0*2 already sent 2 to 2.
+    b = [row[:] for row in z8]
+    b[1][1] = 5
+    cases["disagree"] = (
+        cd.GroupTable(8, z8, 0),
+        cd.GroupTable(8, b, 0),
+        InconsistentFactorizations,
+        "element 2: factorizations disagree (2 vs 5)",
+    )
+
+    # Two changed cells: the row-major scan over K x K meets (1, 4), where 5
+    # reads 1, before (2, 1), where the smaller element 3 reads 7.
+    b = [row[:] for row in z8]
+    b[1][4], b[2][1] = 1, 7
+    cases["disagree_scan_order"] = (
+        cd.GroupTable(8, z8, 0),
+        cd.GroupTable(8, b, 0),
+        InconsistentFactorizations,
+        "element 5: factorizations disagree (5 vs 1)",
+    )
+
+    # 0*2 reads 5, so the first factorization sets f(2) = 5, and 1*1 = 2 is
+    # the one that disagrees.
+    b = [row[:] for row in z8]
+    b[0][2] = 5
+    cases["disagree_first_value"] = (
+        cd.GroupTable(8, z8, 0),
+        cd.GroupTable(8, b, 0),
+        InconsistentFactorizations,
+        "element 2: factorizations disagree (5 vs 2)",
+    )
+
+    # The all-zero table against itself: K is every row, and no product is
+    # 1.  In a group, K.K = G whenever |K| > n/2, so this needs a non-group.
+    zero = cd.GroupTable(4, [[0] * 4] * 4, 0)
+    cases["no_factorization"] = (
+        zero,
+        zero,
+        InconsistentFactorizations,
+        "element 1 has no factorization inside the light set",
+    )
+
+    # Z_7 with 0 and 1 swapped in every cell: each row differs in 2 < 7/3
+    # cells, so every element is light, and f = (0 1) moves 0.
+    z7_cells = [list(r) for r in z7.cells]
+    swap01 = _relabelled(z7_cells, lambda v: {0: 1, 1: 0}.get(v, v))
+    cases["light_moved"] = (
+        z7,
+        cd.GroupTable(7, swap01, 1),
+        InconsistentFactorizations,
+        "light element 0 moved to 1",
+    )
+
+    # Z_8 with 7 read as 0 in rows 0..6 (one cell each) and row 7 all 0:
+    # K = 0..6, and f sends both 0 and 7 to 0.
+    b = _relabelled(z8[:7], lambda v: v % 7) + [[0] * 8]
+    cases["not_bijection"] = (
+        cd.GroupTable(8, z8, 0),
+        cd.GroupTable(8, b, 0),
+        InconsistentFactorizations,
+        "reconstructed map is not a bijection",
+    )
+
+    # Z_8 with row 7 all 0: K = 0..6 rebuilds the identity map, which
+    # disagrees with row 7.
+    b = z8[:7] + [[0] * 8]
+    cases["not_isomorphism"] = (
+        cd.GroupTable(8, z8, 0),
+        cd.GroupTable(8, b, 0),
+        InconsistentFactorizations,
+        "reconstructed map is not an isomorphism",
+    )
+
+    # Z_16 with row 3 all 1, transported by (1 2): rows 1 and 2 are heavy
+    # and swapped, the other rows are light, and row 3, which (1 2) fixes,
+    # reads 2 where it read 1 in every cell.
+    z16 = [[(x + y) % 16 for y in range(16)] for x in range(16)]
+    z16[3] = [1] * 16
+    a = cd.GroupTable(16, z16, 0)
+    cases["heavy_fixed"] = (
+        a,
+        cd.transport(a, cd.Permutation.transposition(16, 1, 2)),
+        InconsistentFactorizations,
+        "heavy row 3 (d=16) is fixed",
+    )
+    return cases

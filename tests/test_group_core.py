@@ -26,6 +26,7 @@ from conftest import (
     oracle_is_dihedral_twice_odd,
     oracle_isomorphisms,
     oracle_make_group,
+    oracle_span,
     oracle_transport,
     random_permutation,
     reduced_loops,
@@ -390,6 +391,21 @@ class TestStoredArray:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             cd.GroupTable(2, cyclic(2).cells, identity)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cd.GroupTable(0, [], 0),
+            lambda: cd.validate_table([]),
+            lambda: cd.validate_table(np.empty((0, 0), dtype=np.intp)),
+            lambda: cd.GroupTable.from_text("0\n"),
+        ],
+        ids=["constructor", "validate_table", "validate_table_array", "from_text"],
+    )
+    def test_empty_table(self, build):
+        with pytest.raises(InputError) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (InputError, "empty table")
+
     def test_equality_and_hash_leave_cells_unbuilt(self):
         rng = random.Random(8)
         t = dihedral(5)
@@ -694,8 +710,19 @@ class TestPower:
         (lambda t: t.inverse(-1), "element -1 outside 0..4"),
         (lambda t: cd.power(t, 1.5, 2), "element 1.5 is not an integer"),
         (lambda t: cd.power(t, 1, 2.0), "exponent must be an integer >= 0, got 2.0"),
+        (lambda t: cd.Permutation.identity(t.n)(-1), "element -1 outside 0..4"),
+        (lambda t: cd.Permutation.identity(t.n)(5), "element 5 outside 0..4"),
+        (lambda t: cd.Permutation.identity(t.n)(1.0), "element 1.0 is not an integer"),
     ],
-    ids=["element_order", "inverse", "power_element", "power_exponent"],
+    ids=[
+        "element_order",
+        "inverse",
+        "power_element",
+        "power_exponent",
+        "permutation_negative",
+        "permutation_past_end",
+        "permutation_float",
+    ],
 )
 def test_element_argument_checked(z5, call, message):
     # -1 would otherwise index the last row or column
@@ -781,6 +808,25 @@ def test_orders_are_element_orders(label):
     base = cd.make_group(cd.GroupKind.parse(label))
     t = cd.transport(base, random_permutation(base.n, random.Random(label)))
     assert t.orders == tuple(t.element_order(g) for g in range(t.n))
+
+
+def test_span_matches_cell_walk():
+    """_span gives the same dict, in the same key order, as a walk over the
+    cells tuple: on every catalog table and a transport of it, for its
+    generating sequence and for random sequences with repeats and the
+    identity."""
+    rng = random.Random(17)
+    for n in range(1, MAX_BRUTE_ORDER + 1):
+        for kind in cd.groups_of_order(n):
+            t = cd.make_group(kind)
+            for table in (t, cd.transport(t, random_permutation(n, rng))):
+                seqs = [cd.generating_sequence(table), []]
+                seqs += [[rng.randrange(n) for _ in range(rng.randint(1, 3))] for _ in range(4)]
+                for gens in seqs:
+                    got = cd.group_core._span(table, gens)
+                    want = oracle_span(table, gens)
+                    assert list(got.items()) == list(want.items()), (kind, gens)
+                    assert all(type(v) is int for item in got.items() for v in (item[0], *item[1]))
 
 
 def test_generating_sequence_spans():

@@ -24,9 +24,12 @@ from conftest import (
     oracle_mf,
     oracle_min_transposition,
     oracle_profile,
+    oracle_reconstruct,
     oracle_row_dist,
     oracle_transport,
+    outcome,
     random_permutation,
+    reconstruct_branch_cases,
 )
 
 SMALL_KINDS = [kind.label() for n in range(5, 9) for kind in cd.groups_of_order(n)]
@@ -174,6 +177,12 @@ class TestReconstruct:
     def test_hypothesis_not_met_on_paper_pair(self, z7, paper_f7):
         with pytest.raises(HypothesisNotMet):
             cd.reconstruct_isomorphism(z7, cd.transport(z7, paper_f7))
+
+    @pytest.mark.parametrize("case", list(reconstruct_branch_cases()))
+    def test_failure_branch_class_and_message(self, case):
+        a, b, error, message = reconstruct_branch_cases()[case]
+        assert outcome(cd.reconstruct_isomorphism, a, b) == (error, message)
+        assert outcome(oracle_reconstruct, a, b) == (error, message)
 
 
 class TestMinTransposition:

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 import cayleydist as cd
 
-from conftest import cyclic, estim1_bound, oracle_dist, oracle_mf, random_permutation
+from conftest import (
+    cyclic,
+    estim1_bound,
+    oracle_dist,
+    oracle_mf,
+    oracle_reconstruct,
+    outcome,
+    random_permutation,
+    reconstruct_branch_cases,
+)
 
 perm_5 = st.permutations(range(5)).map(lambda img: cd.Permutation(tuple(img)))
 perm_6 = st.permutations(range(6)).map(lambda img: cd.Permutation(tuple(img)))
@@ -141,6 +150,51 @@ def test_light_set_members_are_strictly_light():
         K = cd.light_set(z9, moved)
         assert all(3 * prof.row[g] < 9 for g in K)
         assert all(3 * prof.row[g] >= 9 for g in range(9) if g not in K)
+
+
+def _reconstruct_bases(n: int) -> list[cd.GroupKind]:
+    kinds = [cd.GroupKind.cyclic(n)]
+    if n % 2 == 0:
+        kinds.append(cd.GroupKind.dihedral(n // 2))
+    if n == 16:
+        kinds.append(cd.GroupKind.elementary_abelian(4))
+    if n in (12, 20):
+        kinds.append(cd.GroupKind.direct_product(cd.GroupKind.cyclic(n // 2), cd.GroupKind.cyclic(2)))
+    return kinds
+
+
+def test_reconstruct_matches_loop_oracle():
+    """reconstruct_isomorphism returns what the cell loop returns, or raises
+    the same class with the same message: on near transports (a
+    transposition or a 3-cycle, one or two of them), far ones (a random
+    permutation), near ones with random cells changed (tables the
+    constructor accepts without a group check), and the hand-built pairs
+    that reach each failure branch."""
+    rng = random.Random(18)
+    pairs = []
+    for n in range(9, 30):
+        for kind in _reconstruct_bases(n):
+            base = cd.transport(cd.make_group(kind), random_permutation(n, rng))
+            for _ in range(3):
+                points = rng.sample(range(n), 5)
+                cycles = [points[: rng.choice((2, 3))], points[3:]][: rng.choice((1, 2))]
+                moved = cd.transport(base, cd.Permutation.from_cycles(n, cycles))
+                cells = [list(r) for r in moved.cells]
+                for _ in range(rng.choice((1, 2, 5))):
+                    cells[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                pairs.append((base, moved))
+                pairs.append((base, cd.GroupTable(n, cells, moved.identity)))
+            pairs.append((base, cd.transport(base, random_permutation(n, rng))))
+    pairs.extend((a, b) for a, b, _, _ in reconstruct_branch_cases().values())
+    pairs.extend((b, a) for a, b, _, _ in reconstruct_branch_cases().values())
+    outcomes = [outcome(cd.reconstruct_isomorphism, a, b) for a, b in pairs]
+    for (a, b), got in zip(pairs, outcomes):
+        assert got == outcome(oracle_reconstruct, a, b)
+    # the pairs reach a found map, the hypothesis check and a disagreement
+    messages = [got[1] for got in outcomes if isinstance(got, tuple)]
+    assert len(messages) < len(outcomes)
+    assert any(m.startswith("|K|") for m in messages)
+    assert any("factorizations disagree" in m for m in messages)
 
 
 def test_reconstruction_fixes_light_set():
