@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Run the full prime-stability verification sweep (11 <= p <= 31).
 
-Prints one summary line per prime and optionally dumps the JSON reports.
-Each prime is then searched again over every row (the all-rows superset),
-which must give the same delta = 6p - 18.
+Prints one summary line per prime.  Each prime is then searched again over
+every row (the all-rows superset), which must give the same delta = 6p - 18.
+For a prime's JSON report, run `cayleydist verify --prime P --json FILE`.
 """
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 from cayleydist import prime_stability_verify
 
@@ -17,13 +15,7 @@ PRIMES = (11, 13, 17, 19, 23, 29, 31)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--json-dir", help="write one report JSON per prime here")
-    args = ap.parse_args()
-
-    out_dir = Path(args.json_dir) if args.json_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     all_ok = True
     for p in PRIMES:
@@ -45,10 +37,6 @@ def main() -> int:
             f"[{searched or 'all m excluded'}; by bounds: {excluded}]  "
             f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
         )
-        if out_dir:
-            (out_dir / f"verify_p{p}.json").write_text(
-                json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-            )
 
     for p in PRIMES:
         start = time.perf_counter()

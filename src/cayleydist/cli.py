@@ -277,10 +277,7 @@ def _cmd_oracle(args) -> CommandResult:
         params={"order": args.order, "scope": args.scope},
         result={name: value},
         witnesses={
-            "pair": [
-                [list(r) for r in wa.cells],
-                [list(r) for r in wb.cells],
-            ]
+            "pair": [wa.array.tolist(), wb.array.tolist()]
         },
         text=f"{name}({args.order}) = {value}",
     )

@@ -1,15 +1,11 @@
 """Finite-group Cayley tables on the element set {0, ..., n-1}.
 
-Tables are immutable; make_group and transport build a group by
-construction, validate_table checks the group axioms, and the GroupTable
-constructor checks none.  The constructor and validate_table read cells
-through one reader, which names the first shape or cell offender (an empty
-table among them), and check_element is the one rule for an element
-argument.  Every table holds its read-only array from construction, and
-equality, hashing and the library's kernels read it; the n x n cells tuple
-is built only when cells is first read, which no call of validate_table,
-transport, the pair kernels or reconstruct_isomorphism does.  Identity is
-located by scan -- ingested tables need not place it at 0.
+Every GroupTable holds one form from construction, a read-only (n, n)
+np.intp array with n >= 1 and values in 0..n-1, and the library reads
+tables only through it.  make_group and transport build a group; the
+constructor and validate_table read cells through one reader that names
+the first shape or cell offender, and only validate_table checks the group
+axioms.  Identity is located by scan -- ingested tables need not place it at 0.
 """
 
 from __future__ import annotations
@@ -37,17 +33,23 @@ from .errors import (
 INTEGER_TYPES = (int, np.integer, np.bool_)
 
 
-def check_element(v: object, n: int, what: str, error: type[InputError] = InputError) -> None:
-    """Raise error unless v is an integer in 0..n-1; the message leads with
-    what, the name of v, and shows the offending value."""
+def check_integer(v: object, what: str, error: type[InputError] = InputError) -> None:
+    """Raise error unless v is an integer; the message leads with what, the
+    name of v, and shows the offending value."""
     if not isinstance(v, INTEGER_TYPES):
         raise error(f"{what} {v!r} is not an integer")
+
+
+def check_element(v: object, n: int, what: str, error: type[InputError] = InputError) -> None:
+    """Raise error unless v is an integer in 0..n-1, named as check_integer names it."""
+    check_integer(v, what, error)
     if not 0 <= v < n:
         raise error(f"{what} {int(v)} outside 0..{n - 1}")
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """False for anything but a prime integer, so every prime gate names a non-integer."""
+    if not isinstance(n, INTEGER_TYPES) or n < 2:
         return False
     if n < 4:
         return True
@@ -187,14 +189,11 @@ class Permutation:
 
 
 class GroupTable:
-    """An n x n Cayley table; cells[a][b] = a * b.
+    """An immutable n x n Cayley table; array[a, b] = a * b.
 
-    Immutable.  Every table holds its cells as a read-only (n, n) np.intp
-    array from construction, and equality and hashing read (identity,
-    array); cells, the rows as tuples, is built from the array on first
-    read.  The constructor copies cells, read as validate_table reads them,
-    and checks that identity is an element; it does not check the group
-    axioms, which validate_table does.
+    Equality and hashing read (identity, array).  The constructor checks
+    that identity is an element, not the group axioms.  cells, the rows as
+    tuples of ints, is a view for callers outside the library.
     """
 
     def __init__(self, n: int, cells: Sequence[Sequence[int]], identity: int) -> None:
@@ -234,7 +233,7 @@ class GroupTable:
 
     def inverse(self, a: int) -> int:
         check_element(a, self.n, "element")
-        return self.cells[a].index(self.identity)
+        return self.array[a].tolist().index(self.identity)
 
     def element_order(self, g: int) -> int:
         check_element(g, self.n, "element")
@@ -250,7 +249,7 @@ class GroupTable:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        """element_order of each element, built on first use like cells."""
+        """element_order of each element, built on first use."""
         return tuple(map(self.element_order, range(self.n)))
 
     def order_profile(self) -> tuple[int, ...]:
@@ -261,7 +260,7 @@ class GroupTable:
 
     def to_text(self) -> str:
         lines = [str(self.n)]
-        lines.extend(" ".join(str(v) for v in row) for row in self.cells)
+        lines.extend(" ".join(map(str, row)) for row in self.array.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -379,6 +378,10 @@ def _dihedral_mul(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(ar, a - b, a + b) % k + k * (ar != (b >= k))
 
 
+def _xor(_: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a ^ b
+
+
 def _quaternion8_mul(_: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # index = i + 4j for a^i b^j with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1.
     i, j = a % 4, a // 4
@@ -387,52 +390,56 @@ def _quaternion8_mul(_: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return exp + 4 * ((j + l) % 2)
 
 
-# family -> (label token, order from param, mul(param, a, b)); identity 0.
-# mul runs once per table, on index arrays a[:, None] and a, for all cells.
-# Each family is named after its GroupKind constructor, and a token without
-# "{}" names a family that takes no param.  direct_product, built from its
-# factors, is the one family outside the table.
-_Family = tuple[str, Callable[[int], int], Callable[..., np.ndarray]]
+# family -> (label token, (param name, least param), order from param,
+# mul(param, a, b)); identity 0.  mul runs once per table, on index arrays
+# a[:, None] and a, for all cells.  Each family is named after its GroupKind
+# constructor, and a token without "{}" names a family that takes no param
+# (param 0).  direct_product, built from its factors, is the one family
+# outside the table.
+_Family = tuple[str, tuple[str, int], Callable[[int], int], Callable[..., np.ndarray]]
 _FAMILIES: dict[str, _Family] = {
-    "cyclic": ("cyclic:{}", lambda n: n, lambda n, a, b: (a + b) % n),
-    "dihedral": ("dihedral:{}", lambda k: 2 * k, _dihedral_mul),
-    "elementary_abelian": ("e2:{}", lambda k: 2**k, lambda _, a, b: a ^ b),
-    "quaternion8": ("q8", lambda _: 8, _quaternion8_mul),
+    "cyclic": ("cyclic:{}", ("cyclic order", 1), lambda n: n, lambda n, a, b: (a + b) % n),
+    "dihedral": ("dihedral:{}", ("dihedral parameter", 1), lambda k: 2 * k, _dihedral_mul),
+    "elementary_abelian": ("e2:{}", ("elementary-abelian exponent", 0), lambda k: 2**k, _xor),
+    "quaternion8": ("q8", ("quaternion8 param", 0), lambda _: 8, _quaternion8_mul),
 }
-_FAMILY_OF_TOKEN = {token: family for family, (token, _, _) in _FAMILIES.items()}
-
-
-def _family(name: str) -> _Family:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise InputError(f"unknown family {name!r}") from None
+_FAMILY_OF_TOKEN = {token: family for family, (token, *_) in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
 class GroupKind:
-    """Catalog tag for the group families used by the small-order tests."""
+    """Catalog tag for the group families used by the small-order tests;
+    valid from construction, with an int param that meets its family's rule."""
 
     family: str
     param: int = 0
     factors: tuple["GroupKind", ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.family == "direct_product":
+            if len(self.factors) != 2:
+                raise InputError(f"direct_product needs 2 factors, got {len(self.factors)}")
+            return
+        if self.family not in _FAMILIES:
+            raise InputError(f"unknown family {self.family!r}")
+        token, (name, least) = _FAMILIES[self.family][:2]
+        check_integer(self.param, name)
+        if self.param < least:
+            raise InputError(f"{name} must be >= {least}, got {self.param}")
+        if self.param and "{}" not in token:
+            raise InputError(f"{self.family} takes no param, got {self.param}")
+        object.__setattr__(self, "param", int(self.param))
+
     @staticmethod
     def cyclic(n: int) -> "GroupKind":
-        if n < 1:
-            raise InputError(f"cyclic order must be >= 1, got {n}")
         return GroupKind("cyclic", n)
 
     @staticmethod
     def dihedral(k: int) -> "GroupKind":
-        if k < 1:
-            raise InputError(f"dihedral parameter must be >= 1, got {k}")
         return GroupKind("dihedral", k)
 
     @staticmethod
     def elementary_abelian(k: int) -> "GroupKind":
-        if k < 0:
-            raise InputError(f"elementary-abelian exponent must be >= 0, got {k}")
         return GroupKind("elementary_abelian", k)
 
     @staticmethod
@@ -447,12 +454,12 @@ class GroupKind:
     def order(self) -> int:
         if self.family == "direct_product":
             return self.factors[0].order * self.factors[1].order
-        return _family(self.family)[1](self.param)
+        return _FAMILIES[self.family][2](self.param)
 
     def label(self) -> str:
         if self.family == "direct_product":
             return "*".join(f.label() for f in self.factors)
-        return _family(self.family)[0].format(self.param)
+        return _FAMILIES[self.family][0].format(self.param)
 
     def __str__(self) -> str:
         return self.label()
@@ -482,7 +489,7 @@ def make_group(kind: GroupKind) -> GroupTable:
         q, r = divmod(a, len(t2))
         arr = t1[np.ix_(q, q)] * len(t2) + t2[np.ix_(r, r)]
     else:
-        arr = _family(kind.family)[2](kind.param, a[:, None], a)
+        arr = _FAMILIES[kind.family][3](kind.param, a[:, None], a)
     return GroupTable._from_array(arr, identity=0)
 
 
@@ -502,9 +509,10 @@ def power(t: GroupTable, g: int, k: int) -> int:
     check_element(g, t.n, "element")
     if not isinstance(k, INTEGER_TYPES) or k < 0:
         raise InputError(f"exponent must be an integer >= 0, got {k!r}")
+    times_g = t.array[:, g].tolist()
     x = t.identity
     for _ in range(k):
-        x = t.cells[x][g]
+        x = times_g[x]
     return x
 
 
@@ -513,7 +521,7 @@ def _span(t: GroupTable, gens: Sequence[int]) -> dict[int, tuple[int, int]]:
     gens, walked breadth-first: in a group, the subgroup gens generate.
     Each y maps to the (x, i) that first reached it, y = x * gens[i], and
     the identity to (-1, -1); keys come in walk order, x before its y.
-    Reads only the gens columns of t.array, O(n |gens|), not cells."""
+    Reads only the gens columns of t.array, O(n |gens|)."""
     times_gens = t.array[:, gens].tolist()
     reached = {t.identity: (-1, -1)}
     walk = [t.identity]
@@ -616,6 +624,7 @@ MAX_BRUTE_ORDER = max(_CATALOG)
 
 def groups_of_order(n: int) -> list[GroupKind]:
     """All isomorphism classes of order n, for n <= MAX_BRUTE_ORDER."""
+    check_integer(n, "order")
     if n < 1:
         raise InputError(f"order must be >= 1, got {n}")
     if n not in _CATALOG:

@@ -31,6 +31,7 @@ from .group_core import (
     Permutation,
     are_isomorphic,
     check_element,
+    check_integer,
     is_dihedral_twice_odd,
     is_prime,
 )
@@ -241,6 +242,8 @@ def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:
 
     The second bound only applies when ceil(n/4) - 2l >= 0; None otherwise.
     """
+    for name, v in (("n", n), ("m", m), ("l", l)):
+        check_integer(v, f"{name} =")
     if not 0 <= l <= m:
         raise InputError(f"need 0 <= l <= m, got l={l}, m={m}")
     bound1 = l * (n - m) + (n - 2 * l - 1) * m
@@ -258,7 +261,7 @@ def max_disjoint_subset(
     for x in (h, *disagree):
         check_element(x, t.n, "element")
     elems = sorted(set(disagree))
-    hrow = t.cells[h]
+    hrow = t.array[h].tolist()
     for size in range(len(elems), 0, -1):
         for sub in combinations(elems, size):
             shifted = {hrow[y] for y in sub}
@@ -306,6 +309,7 @@ def analytic_lower_bound(p: int, m: int) -> BoundReport:
     """
     if not is_prime(p) or p <= 7:
         raise NotPrime(f"need a prime greater than 7, got {p}")
+    check_integer(m, "m =")
     if m < 3:
         raise MTooSmall(f"m = {m} cannot occur (rows differ in 0 or >= 3 places)")
     if m > p - 1:
@@ -362,7 +366,7 @@ def check_lemmas(a: GroupTable, b: GroupTable) -> list[LemmaViolation]:
     low = (triple < n) & mismatch
     if np.count_nonzero(low):
         for x, y in np.argwhere(low).tolist():
-            w = {"a": x, "b": y, "ab": a.cells[x][y], "sum": int(triple[x, y])}
+            w = {"a": x, "b": y, "ab": a.array.item(x, y), "sum": int(triple[x, y])}
             out.append(LemmaViolation("row_triple_sum", w))
     if n > 7 and total <= 6 * n - 18 and a.identity != b.identity:
         isomorphic = False

@@ -32,6 +32,7 @@ from .group_core import (
     GroupTable,
     Permutation,
     automorphisms,
+    check_integer,
     groups_of_order,
     is_prime,
     make_group,
@@ -160,6 +161,7 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
         raise UnsupportedM(f"pattern search supports m in {{{supported}}}, got {m}")
     if not is_prime(p) or p <= 7:
         raise InputError(f"need a prime greater than 7, got {p}")
+    check_integer(h, "row h")
     if not 1 <= h < p:
         raise InputError(f"row h must be in 1..{p - 1}, got {h}")
     for pos in itertools.combinations(range(1, p), m):
@@ -173,12 +175,13 @@ def apply_pattern(pattern: PatternMod, base: GroupTable) -> Permutation:
     if base.n != pattern.p:
         raise InputError(f"table order {base.n} != pattern order {pattern.p}")
     h = pattern.h
-    pi = list(base.cells[h])
+    pi = base.array[h].tolist()
+    times_h = base.array[:, h].tolist()
     elem_of_exp = {}
     x = base.identity
     for k in range(pattern.p):
         elem_of_exp[k] = x
-        x = base.cells[x][h]
+        x = times_h[x]
     sigma = list(pi)
     for cyc in pattern.rearrangement:
         for idx, exp in enumerate(cyc):
@@ -214,7 +217,7 @@ def complete_from_row(
         steps += 1
     if steps != p:
         raise NotPCycle(f"row is not a single {p}-cycle (orbit length {steps})")
-    if sigma[e] != base.cells[h][e]:
+    if sigma[e] != base.array.item(h, e):
         raise InputError("modified row must keep the identity column (h at column e)")
     cells: list[Optional[tuple[int, ...]]] = [None] * p
     cur = tuple(range(p))

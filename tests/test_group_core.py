@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -15,6 +16,7 @@ from cayleydist.errors import (
     NotLatin,
     OrderTooLarge,
 )
+from cayleydist.cli import main
 from cayleydist.group_core import _CATALOG, MAX_BRUTE_ORDER
 
 from conftest import (
@@ -428,23 +430,116 @@ class TestStoredArray:
 
     def test_every_path_stores_intp(self):
         z4 = cyclic(4)
+        rows = z4.array.tolist()
         tables = [
             z4,
             cd.make_group(cd.GroupKind.parse("cyclic:4*cyclic:2")),
             cd.transport(z4, cd.Permutation((1, 0, 3, 2))),
+            cd.validate_table(rows),
             cd.validate_table([[True, False], [False, True]]),
-            cd.validate_table(np.array(z4.cells, dtype=np.int8)),
-            cd.GroupTable(4, np.array(z4.cells, dtype=np.uint8), 0),
+            cd.validate_table(np.array(rows, dtype=np.int8)),
+            cd.GroupTable(4, rows, 0),
+            cd.GroupTable(4, np.array(rows, dtype=np.uint8), 0),
             cd.GroupTable(2, [[False, True], [True, False]], 0),
         ]
+        assert tables[-2] == z4 and tables[-1] == cyclic(2)
+        # make_group over every catalog kind, and params 1, 0 and True
+        # wherever the family allows them
+        kinds = [kind for kinds in _CATALOG.values() for kind in kinds]
+        for make in (cd.GroupKind.cyclic, cd.GroupKind.dihedral, cd.GroupKind.elementary_abelian):
+            kinds += [make(1), make(True)]
+        kinds.append(cd.GroupKind.elementary_abelian(0))
+        tables += map(cd.make_group, kinds)
         for t in tables:
             assert "array" in vars(t) and t.array.dtype == np.intp
-            assert t.array.shape == (t.n, t.n) and not t.array.flags.writeable
-        assert tables[-2] == z4 and tables[-1] == cyclic(2)
+            assert t.n >= 1 and t.array.shape == (t.n, t.n) and not t.array.flags.writeable
 
     @pytest.mark.parametrize("name", ["array", "_key", "mul", "row"])
     def test_no_second_form_or_alias(self, name):
         assert name not in vars(cd.GroupTable)
+
+
+FIRST_M3_PATTERN = next(cd.enumerate_patterns(11, 3))
+
+
+def _lemma_witness_pair() -> tuple[cd.GroupTable, ...]:
+    """Z_5 and a non-group copy with cell (1, 1) changed: the lone changed
+    cell has triple row sum 2 < 5, so check_lemmas builds its witness."""
+    a = cyclic(5)
+    rows = a.array.tolist()
+    rows[1][1] = 3
+    b = cd.GroupTable(5, rows, 0)
+    assert "row_triple_sum" in [v.name for v in cd.check_lemmas(a, b)]
+    return a, b
+
+
+def _complete_from_row_tables() -> tuple[cd.GroupTable, ...]:
+    base = cyclic(11)
+    row = cd.apply_pattern(FIRST_M3_PATTERN, base)
+    return base, cd.complete_from_row(base, 1, row)
+
+
+def _reconstruct_tables() -> tuple[cd.GroupTable, ...]:
+    a = dihedral(10)
+    b = cd.transport(a, cd.Permutation.transposition(20, 3, 12))
+    assert cd.reconstruct_isomorphism(a, b) == cd.Permutation.transposition(20, 3, 12)
+    return a, b
+
+
+def _after(call, *tables: cd.GroupTable) -> tuple[cd.GroupTable, ...]:
+    call(*tables)
+    return tables
+
+
+class TestOneTableForm:
+    """No library call reads a table through anything but its array, so none
+    builds the cells view (TestStoredArray checks that every path stores it)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _after(lambda t: t.inverse(3), cyclic(5)),
+            lambda: _after(lambda t: cd.power(t, 2, 3), cyclic(5)),
+            lambda: _after(lambda t: t.to_text(), cyclic(5)),
+            lambda: _after(lambda t: cd.max_disjoint_subset(t, 1, (1, 2, 3)), cyclic(11)),
+            _lemma_witness_pair,
+            lambda: _after(lambda t: cd.apply_pattern(FIRST_M3_PATTERN, t), cyclic(11)),
+            _complete_from_row_tables,
+            lambda: _after(cd.dist, cyclic(7), cd.transport(cyclic(7), cd.Permutation.identity(7))),
+            lambda: _after(lambda a, b: cd.hom_distance((0, 2, 1, 3, 4), a, b), cyclic(5), cyclic(5)),
+            lambda: _after(cd.delta0, dihedral(5)),
+            lambda: _after(cd.min_transposition_mf, dihedral(5)),
+            _reconstruct_tables,
+            lambda: (cd.validate_table(dihedral(5).array.tolist()),),
+        ],
+        ids=[
+            "inverse",
+            "power",
+            "to_text",
+            "max_disjoint_subset",
+            "check_lemmas_witness",
+            "apply_pattern",
+            "complete_from_row",
+            "dist",
+            "hom_distance",
+            "delta0",
+            "min_transposition_mf",
+            "reconstruct_isomorphism",
+            "validate_table",
+        ],
+    )
+    def test_library_call_leaves_cells_unbuilt(self, build):
+        for t in build():
+            assert "cells" not in vars(t)
+
+    def test_oracle_witness_reads_the_array(self, monkeypatch, capsys):
+        def refuse(t):
+            raise AssertionError("the library read cells")
+
+        monkeypatch.setattr(cd.GroupTable, "cells", property(refuse))
+        assert main(["oracle", "--order", "4", "--scope", "nu", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witnesses"]["pair"][0] == cd.make_group(cd.GroupKind.cyclic(4)).array.tolist()
 
 
 class TestMakeGroup:
@@ -508,6 +603,54 @@ class TestMakeGroup:
             assert "array" in vars(t) and not t.array.flags.writeable, kind
             assert t.array.dtype == np.intp and np.array_equal(t.array, np.array(expected.cells))
             assert all(type(v) is int for row in t.cells for v in row), kind
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: cd.GroupKind.cyclic(5.0), "cyclic order 5.0 is not an integer"),
+            (lambda: cd.GroupKind.dihedral(2.5), "dihedral parameter 2.5 is not an integer"),
+            (
+                lambda: cd.GroupKind.elementary_abelian(-1),
+                "elementary-abelian exponent must be >= 0, got -1",
+            ),
+            (lambda: cd.GroupKind("cyclic", 0), "cyclic order must be >= 1, got 0"),
+            (lambda: cd.GroupKind("cyclic", -3), "cyclic order must be >= 1, got -3"),
+            (lambda: cd.GroupKind("nope"), "unknown family 'nope'"),
+            (lambda: cd.GroupKind("quaternion8", 3), "quaternion8 takes no param, got 3"),
+            (lambda: cd.GroupKind("direct_product"), "direct_product needs 2 factors, got 0"),
+        ],
+        ids=[
+            "cyclic_float",
+            "dihedral_float",
+            "e2_negative",
+            "cyclic_0",
+            "cyclic_negative",
+            "unknown_family",
+            "q8_param",
+            "product_without_factors",
+        ],
+    )
+    def test_kind_valid_from_construction(self, build, message):
+        # make_group trusts its kind, so a bad param never reaches a table
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_kind_param_stored_as_int(self):
+        for param in (5, np.int64(5), np.uint8(5)):
+            kind = cd.GroupKind.cyclic(param)
+            assert type(kind.param) is int and kind.label() == "cyclic:5"
+            t, z5 = cd.make_group(kind), cd.make_group(cd.GroupKind.cyclic(5))
+            assert kind == cd.GroupKind.cyclic(5) and t == z5 and hash(t) == hash(z5)
+        assert cd.GroupKind.dihedral(True) == cd.GroupKind.dihedral(1)
+        assert cd.GroupKind.quaternion8() == cd.GroupKind("quaternion8", np.int8(0))
+
+    def test_catalog_order_not_an_integer(self):
+        with pytest.raises(InputError, match=r"^order 3\.0 is not an integer$"):
+            cd.groups_of_order(3.0)
+
+    def test_is_prime_needs_an_integer(self):
+        assert cd.is_prime(11) and cd.is_prime(np.int64(11))
+        assert not any(map(cd.is_prime, (11.0, True, "11", None)))
 
     def test_kind_parsing_roundtrip(self):
         for text in ["cyclic:7", "dihedral:5", "e2:3", "q8", "cyclic:4*cyclic:2"]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,21 @@ class TestAnalyticBounds:
             cd.analytic_lower_bound(7, 3)
         with pytest.raises(MTooSmall):
             cd.analytic_lower_bound(11, 2)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: cd.analytic_lower_bound(11.0, 3), NotPrime, "need a prime greater than 7, got 11.0"),
+            (lambda: cd.analytic_lower_bound(11, 3.0), InputError, "m = 3.0 is not an integer"),
+            (lambda: cd.estim2_bounds(13.0, 3, 1), InputError, "n = 13.0 is not an integer"),
+            (lambda: cd.estim2_bounds(13, 3.5, 1), InputError, "m = 3.5 is not an integer"),
+            (lambda: cd.estim2_bounds(13, 3, 1.0), InputError, "l = 1.0 is not an integer"),
+        ],
+        ids=["bound_p", "bound_m", "estim2_n", "estim2_m", "estim2_l"],
+    )
+    def test_parameter_not_an_integer(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_m_above_p_minus_one(self):
         assert cd.analytic_lower_bound(11, 10).bounds[0] == ("row_floor", 100)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestEnumeratePatterns:
         # the order is part of the output: the witness is the first minimizer
         pats = [p for p in cd.enumerate_patterns(11, 3) if p.positions == (1, 2, 3)]
         assert [p.rearrangement for p in pats] == [((1, 2, 3),), ((1, 3, 2),)]
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cd.enumerate_patterns(11.0, 3), "need a prime greater than 7, got 11.0"),
+            (lambda: cd.enumerate_patterns(11, 3, 1.0), "row h 1.0 is not an integer"),
+        ],
+        ids=["p", "h"],
+    )
+    def test_parameter_not_an_integer(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            next(call())
 
     def test_unsupported_m(self):
         with pytest.raises(UnsupportedM, match=r"^pattern search supports m in \{3, 4\}, got 5$"):
@@ -276,8 +289,8 @@ class TestPrimeStabilityVerify:
             assert (case.min_distance, case.witness) == best
 
     def test_out_of_range(self):
-        for p in (7, 37, 9, 2):
-            with pytest.raises(OutOfVerifiedRange):
+        for p in (7, 37, 9, 2, 11.0):
+            with pytest.raises(OutOfVerifiedRange, match=f"got {re.escape(str(p))}$"):
                 cd.prime_stability_verify(p)
 
     def test_report_json_roundtrip(self):
@@ -335,6 +348,11 @@ class TestBruteDelta:
             for kind in cd.groups_of_order(8):
                 slow = cd.kind_stability(kind, scope, allow_slow=True)
                 assert cd.kind_stability(kind, scope, allow_slow=False) == slow
+
+    def test_distinct_table_counts_order_not_an_integer(self):
+        cd.distinct_table_counts(3)  # a cached int order does not answer for 3.0
+        with pytest.raises(InputError, match=r"^order 3\.0 is not an integer$"):
+            cd.distinct_table_counts(3.0)
 
     def test_distinct_table_counts(self):
         assert cd.distinct_table_counts(7) == {"cyclic:7": 840}
