@@ -419,9 +419,16 @@ class GroupKind:
         if self.family == "direct_product":
             if len(self.factors) != 2:
                 raise InputError(f"direct_product needs 2 factors, got {len(self.factors)}")
+            for factor in self.factors:
+                if not isinstance(factor, GroupKind):
+                    raise InputError(f"direct_product factor {factor!r} is not a GroupKind")
+            if self.param:
+                raise InputError(f"direct_product takes no param, got {self.param}")
             return
         if self.family not in _FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
+        if self.factors:
+            raise InputError(f"{self.family} takes no factors, got {self.factors[0]}")
         token, (name, least) = _FAMILIES[self.family][:2]
         check_integer(self.param, name)
         if self.param < least:

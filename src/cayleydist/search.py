@@ -5,6 +5,12 @@ down the stability of prime-order cyclic groups at 11 <= p <= 31, and the
 small-order brute-force oracle that enumerates every group table on
 {0..n-1} by transporting each catalog group G through one permutation per
 coset of Aut(G).
+
+The pattern search scores one pattern of each reflection pair: x -> -x is
+an automorphism of Z_p that maps a pattern to a partner at the reflected
+positions, which completes with it and lies at the same distance.  Each
+scored pattern carries a weight, the number of family members it stands
+for, so the reported counts are those of the whole family.
 """
 
 from __future__ import annotations
@@ -134,6 +140,8 @@ class VerificationReport:
 # the enumeration order within one position tuple.  m = 3 gets both
 # 3-cycles (the single-picture reading is unproved, so the superset is
 # enumerated); m = 4 gets the forced double transposition (i0 i2)(i1 i3).
+# Each row equals its own reflection rho nxt^-1 rho, rho(k) = m-1-k, which
+# _pattern_table's weights rely on.
 REARRANGEMENTS: dict[int, tuple[tuple[int, ...], ...]] = {
     3: ((1, 2, 0), (2, 0, 1)),
     4: ((2, 3, 0, 1),),
@@ -154,7 +162,8 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
     position tuple with every rearrangement of REARRANGEMENTS[m].
 
     This is the readable reference for the order and the content of the
-    search; prime_stability_verify runs the same patterns as arrays.
+    family; prime_stability_verify counts every one of these patterns but
+    scores only the first of each reflection pair (see _pattern_table).
     """
     if m not in REARRANGEMENTS:
         supported = ", ".join(map(str, sorted(REARRANGEMENTS)))
@@ -229,17 +238,36 @@ def complete_from_row(
     return validate_table([list(r) for r in cells if r is not None])
 
 
-def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern of one row as two (N, m) exponent arrays, in
     enumerate_patterns order: the positions, and for each position the
-    position whose row value it takes."""
+    position whose row value it takes; and each pattern's (N,) weight.
+
+    x -> -x maps the row-1 pattern sigma at positions P = (i0, ..., i_{m-1})
+    to N sigma^-1 N, which moves the reflected positions
+    (p-1-i_{m-1}, ..., p-1-i0) by the same rearrangement, since
+    rho nxt^-1 rho = nxt for each row of REARRANGEMENTS with
+    rho(k) = m-1-k.  Its completion is k -> -phi(-k), so it completes with
+    sigma, at the same distance.  When p-1 is in P the partner moves
+    position 0 and is no pattern, so the weight is 1.  Otherwise the
+    lexicographically smaller position tuple, which comes first, stands for
+    both with weight 2, a self-reflected one has weight 1, and the later
+    one weight 0.  Scaling by h carries this to every row.
+    """
     count = math.comb(p - 1, m)
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
     combos = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
+    mirror = p - 1 - combos[:, ::-1]
+    differ = mirror != combos
+    first = differ.argmax(axis=1)
+    rows = np.arange(count)
+    later = mirror[rows, first] > combos[rows, first]
+    weights = np.where(differ.any(axis=1), 2 * later, 1)
+    weights[combos[:, -1] == p - 1] = 1
     nxt = np.array(REARRANGEMENTS[m], dtype=np.intp)
     positions = np.repeat(combos, len(nxt), axis=0)
     sources = combos[:, nxt].reshape(-1, m)
-    return positions, sources
+    return positions, sources, np.repeat(weights, len(nxt))
 
 
 def _complete_block(
@@ -302,10 +330,17 @@ def _phi_distances(
 
 
 def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
-    """Run every pattern of every row in rows, in enumeration order and in
-    blocks of at most _BLOCK patterns of one row.  Blocks come in order, so
-    only a strictly smaller distance replaces the first minimizer."""
-    positions, sources = _pattern_table(p, m)
+    """Search every pattern of every row in rows, scoring only the patterns
+    of nonzero weight (one of each reflection pair), in enumeration order
+    and in blocks of at most _BLOCK scored patterns of one row.  The counts
+    are those of the whole family: a completing pattern counts its weight.
+    A partner is always later than the pattern scored for it, and blocks
+    come in order, so only a strictly smaller distance replaces the first
+    minimizer."""
+    positions, sources, weights = _pattern_table(p, m)
+    enumerated = len(positions) * len(rows)
+    scored = np.flatnonzero(weights)
+    positions, sources, weights = positions[scored], sources[scored], weights[scored]
     cells = _distance_cells(p)
     completing = 0
     min_distance: Optional[int] = None
@@ -315,16 +350,16 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
             block = slice(start, start + _BLOCK)
             phi, ok = _complete_block(p, h, positions[block], sources[block])
             dvals = _phi_distances(p, phi[:, ok], cells)
-            completing += len(dvals)
+            completing += int(weights[block][ok].sum())
             if len(dvals) and (min_distance is None or dvals.min() < min_distance):
                 k = int(np.argmin(dvals))
                 j = start + int(np.flatnonzero(ok)[k])
-                nxt = REARRANGEMENTS[m][j % len(REARRANGEMENTS[m])]
+                nxt = REARRANGEMENTS[m][scored[j] % len(REARRANGEMENTS[m])]
                 min_distance = int(dvals[k])
                 witness = _pattern(p, h, tuple(positions[j].tolist()), nxt)
     return MCase(
         m=m,
-        candidates_enumerated=len(positions) * len(rows),
+        candidates_enumerated=enumerated,
         candidates_completing=completing,
         min_distance=min_distance,
         witness=witness,

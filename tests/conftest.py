@@ -416,6 +416,36 @@ def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable,
     )
 
 
+def oracle_search_m(p: int, m: int, rows) -> search.MCase:
+    """search._search_m without the reflection quotient: every pattern of
+    every row in rows is completed and scored, in enumeration order and in
+    blocks of at most search._BLOCK patterns of one row."""
+    positions, sources, _ = search._pattern_table(p, m)
+    cells = search._distance_cells(p)
+    completing = 0
+    min_distance = None
+    witness = None
+    for h in rows:
+        for start in range(0, len(positions), search._BLOCK):
+            block = slice(start, start + search._BLOCK)
+            phi, ok = search._complete_block(p, h, positions[block], sources[block])
+            dvals = search._phi_distances(p, phi[:, ok], cells)
+            completing += len(dvals)
+            if len(dvals) and (min_distance is None or dvals.min() < min_distance):
+                k = int(np.argmin(dvals))
+                j = start + int(np.flatnonzero(ok)[k])
+                nxt = search.REARRANGEMENTS[m][j % len(search.REARRANGEMENTS[m])]
+                min_distance = int(dvals[k])
+                witness = search._pattern(p, h, tuple(positions[j].tolist()), nxt)
+    return search.MCase(
+        m=m,
+        candidates_enumerated=len(positions) * len(rows),
+        candidates_completing=completing,
+        min_distance=min_distance,
+        witness=witness,
+    )
+
+
 def oracle_span(t: cd.GroupTable, gens) -> dict[int, tuple[int, int]]:
     """group_core._span as a breadth-first walk over the cells tuple."""
     reached = {t.identity: (-1, -1)}

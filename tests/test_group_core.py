@@ -618,6 +618,18 @@ class TestMakeGroup:
             (lambda: cd.GroupKind("nope"), "unknown family 'nope'"),
             (lambda: cd.GroupKind("quaternion8", 3), "quaternion8 takes no param, got 3"),
             (lambda: cd.GroupKind("direct_product"), "direct_product needs 2 factors, got 0"),
+            (
+                lambda: cd.GroupKind("cyclic", 3, factors=(cd.GroupKind.cyclic(2),)),
+                "cyclic takes no factors, got cyclic:2",
+            ),
+            (
+                lambda: cd.GroupKind("direct_product", 5, (cd.GroupKind.cyclic(2),) * 2),
+                "direct_product takes no param, got 5",
+            ),
+            (
+                lambda: cd.GroupKind("direct_product", factors=(cd.GroupKind.cyclic(2), 2)),
+                "direct_product factor 2 is not a GroupKind",
+            ),
         ],
         ids=[
             "cyclic_float",
@@ -628,6 +640,9 @@ class TestMakeGroup:
             "unknown_family",
             "q8_param",
             "product_without_factors",
+            "cyclic_with_factors",
+            "product_param",
+            "product_factor_not_a_kind",
         ],
     )
     def test_kind_valid_from_construction(self, build, message):

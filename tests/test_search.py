@@ -33,7 +33,30 @@ from conftest import (
     oracle_all_group_tables,
     oracle_dist,
     oracle_pairwise_delta,
+    oracle_search_m,
 )
+
+PRIMES = (11, 13, 17, 19, 23, 29, 31)
+
+
+def reflected_partners(p: int, m: int) -> list:
+    """Each pattern's reflected partner under x -> -x, as an index into
+    _pattern_table(p, m), or None when the partner is not a pattern.
+
+    On row 1, sigma moves position i to source + 1; N sigma^-1 N moves
+    p - 1 - source to (p - 1 - i) + 1.  The partner is found by its
+    (positions, sources) in a dictionary of the whole family."""
+    positions, sources, _ = _pattern_table(p, m)
+    index = {
+        (tuple(pos), tuple(src)): j
+        for j, (pos, src) in enumerate(zip(positions.tolist(), sources.tolist()))
+    }
+    partners = []
+    for pos, src in zip(positions.tolist(), sources.tolist()):
+        moved = sorted((p - 1 - s, p - 1 - i) for i, s in zip(pos, src))
+        key = tuple(q for q, _ in moved), tuple(s for _, s in moved)
+        partners.append(index.get(key))
+    return partners
 
 
 class TestEnumeratePatterns:
@@ -132,7 +155,7 @@ class TestCompleteFromRow:
         # every pattern of every row at p = 11, against the slow path
         z11 = cyclic(11)
         for m in (3, 4):
-            positions, sources = _pattern_table(11, m)
+            positions, sources, _ = _pattern_table(11, m)
             for h in range(1, 11):
                 phis, ok = _complete_block(11, h, positions, sources)
                 dvals = iter(_phi_distances(11, phis[:, ok], _distance_cells(11)))
@@ -158,7 +181,7 @@ class TestCompleteFromRow:
         # completing patterns of rows 1, 2 and p - 1 against the public kernel
         zp = cyclic(p)
         cells = _distance_cells(p)
-        positions, sources = _pattern_table(p, m)
+        positions, sources, _ = _pattern_table(p, m)
         rng = random.Random(p * 10 + m)
         for h in (1, 2, p - 1):
             phi, ok = _complete_block(p, h, positions, sources)
@@ -170,10 +193,112 @@ class TestCompleteFromRow:
                 assert dvals[k] == cd.hom_distance(f, zp, zp)
 
     def test_distance_kernel_on_no_completing_pattern(self):
-        positions, sources = _pattern_table(11, 3)
+        positions, sources, _ = _pattern_table(11, 3)
         phi, _ = _complete_block(11, 1, positions, sources)
         dvals = _phi_distances(11, phi[:, np.zeros(len(positions), dtype=bool)], _distance_cells(11))
         assert dvals.dtype == np.intp and dvals.shape == (0,)
+
+
+class TestReflectionQuotient:
+    @pytest.mark.parametrize("p", [11, 13, 17])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_partners_complete_together_at_one_distance(self, p, m):
+        # pattern by pattern on rows 1, 2 and p - 1: the partner of a
+        # completing pattern completes with phi''(k) = -phi(-k) mod p
+        positions, sources, _ = _pattern_table(p, m)
+        partners = reflected_partners(p, m)
+        cells = _distance_cells(p)
+        k = np.arange(p)
+        for h in (1, 2, p - 1):
+            phi, ok = _complete_block(p, h, positions, sources)
+            dvals = _phi_distances(p, phi, cells)
+            phi = phi.astype(np.intp)
+            paired = 0
+            for j, partner in enumerate(partners):
+                if partner is None:
+                    assert positions[j, -1] == p - 1
+                    continue
+                assert positions[j, -1] != p - 1
+                assert ok[partner] == ok[j]
+                if ok[j]:
+                    assert np.array_equal(phi[:, partner], -phi[-k % p, j] % p)
+                    assert dvals[partner] == dvals[j]
+                    paired += 1
+            assert paired > 0
+
+    def test_pair_end_to_end_at_11(self):
+        # the slow path: the partner's table is the transport of the
+        # pattern's table by N, at the same distance from Z_11
+        z11 = cyclic(11)
+        neg = cd.Permutation(tuple(-x % 11 for x in range(11)))
+        pats = list(cd.enumerate_patterns(11, 3))
+        partners = reflected_partners(11, 3)
+        checked = 0
+        for j, pat in enumerate(pats):
+            if partners[j] is None or partners[j] <= j:
+                continue
+            try:
+                table = cd.complete_from_row(z11, 1, cd.apply_pattern(pat, z11))
+            except NotPCycle:
+                continue
+            partner = pats[partners[j]]
+            assert partner.positions == tuple(10 - i for i in reversed(pat.positions))
+            other = cd.complete_from_row(z11, 1, cd.apply_pattern(partner, z11))
+            assert other == cd.transport(table, neg)
+            assert cd.dist(z11, other).total == cd.dist(z11, table).total
+            checked += 1
+            if checked == 3:
+                break
+        assert checked == 3
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_weights_match_partner_lookup(self, p, m):
+        _, _, weights = _pattern_table(p, m)
+        expected = [
+            1 if partner is None or partner == j else 2 if partner > j else 0
+            for j, partner in enumerate(reflected_partners(p, m))
+        ]
+        assert weights.tolist() == expected
+        assert weights.sum() == len(weights)
+
+    def test_rearrangements_are_reflection_symmetric(self):
+        # rho nxt^-1 rho = nxt with rho(k) = m - 1 - k, so a partner keeps
+        # the rearrangement index of its pattern
+        for m, rows in search.REARRANGEMENTS.items():
+            for nxt in rows:
+                inv = np.argsort(nxt)
+                assert [m - 1 - inv[m - 1 - k] for k in range(m)] == list(nxt)
+
+    @pytest.mark.parametrize("p, scored, family", [(17, 672, 1120), (31, 4480, 8120)])
+    def test_scored_counts(self, monkeypatch, p, scored, family):
+        _, _, weights = _pattern_table(p, 3)
+        assert (np.count_nonzero(weights), len(weights)) == (scored, family)
+        completed = []
+        real = search._complete_block
+
+        def counting(p, h, positions, sources):
+            completed.append(len(positions))
+            return real(p, h, positions, sources)
+
+        monkeypatch.setattr(search, "_complete_block", counting)
+        assert _search_m(p, 3, [1]).candidates_enumerated == family
+        assert sum(completed) == scored
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_search_matches_full_family_on_fixed_row(self, p):
+        cases = cd.prime_stability_verify(p).m_cases
+        assert cases
+        for case in cases:
+            assert case == _search_m(p, case.m, [1]) == oracle_search_m(p, case.m, [1])
+
+    @pytest.mark.parametrize("p", [11, 13, 17])
+    def test_search_matches_full_family_on_all_rows(self, p):
+        rows = list(range(1, p))
+        cases = cd.prime_stability_verify(p, all_rows=True).m_cases
+        assert cases
+        for case in cases:
+            assert case == oracle_search_m(p, case.m, rows)
 
 
 class TestPrimeStabilityVerify:
@@ -253,7 +378,7 @@ class TestPrimeStabilityVerify:
         # row 1 scaled by h: phi_h = h * phi_1 mod p, with the same
         # completions and distances
         for m in (3, 4):
-            positions, sources = _pattern_table(p, m)
+            positions, sources, _ = _pattern_table(p, m)
             phi1, ok1 = _complete_block(p, 1, positions, sources)
             cells = _distance_cells(p)
             d1 = _phi_distances(p, phi1[:, ok1], cells)
