@@ -416,6 +416,10 @@ class GroupKind:
     factors: tuple["GroupKind", ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.factors, (tuple, list)):
+            raise InputError(f"factors {self.factors!r} is not a sequence of GroupKind")
+        # A tuple, so that the kind hashes and equals its catalog twin.
+        object.__setattr__(self, "factors", tuple(self.factors))
         if self.family == "direct_product":
             if len(self.factors) != 2:
                 raise InputError(f"direct_product needs 2 factors, got {len(self.factors)}")

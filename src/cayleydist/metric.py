@@ -103,11 +103,6 @@ def delta0(t: GroupTable) -> int:
     return 6 * t.n - 24
 
 
-def light_set(a: GroupTable, b: GroupTable) -> list[int]:
-    """Rows where the tables nearly agree: {g : d(g) < n/3}, strict."""
-    return _light_rows(_mismatches(a, b)[1]).tolist()
-
-
 def _light_rows(d: np.ndarray) -> np.ndarray:
     """The g with 3 d[g] < n, ascending, for the row distances d."""
     return np.flatnonzero(3 * d < len(d))

@@ -51,6 +51,11 @@ from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
 # (p(p-1)/2, block) arrays of the distance kernel, to a few MiB at p = 31.
 _BLOCK = 2048
 
+# Coset representatives per block of all_group_tables.  Bounds its
+# temporaries, the (block, n*n) gather index and mismatch mask, to well
+# under 1 MiB at n = 8, beside the tables it keeps.
+_TABLE_BLOCK = 1024
+
 SCOPE_ALIASES = {
     "all": "all",
     "mu": "mu",
@@ -433,12 +438,16 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     table at its first f.  Two f give one table iff they lie in one coset
     f Aut(G), so each kind has n! / |Aut(G)| tables, and only the first f
     of each coset is transported.
+
+    The result is preallocated and filled _TABLE_BLOCK coset
+    representatives at a time, tables and distances together, so the
+    temporaries beside it are bounded by the block, not by N.
     """
     kinds = tuple(groups_of_order(n))
     perms = _lex_permutations(n)
-    tables = []
-    for kind in kinds:
-        g = make_group(kind)
+    groups = [make_group(kind) for kind in kinds]
+    reps_of = []
+    for g in groups:
         # f is lexicographically before f.alpha iff f(i) < f(alpha(i)) at
         # the first point i that alpha moves; f is first in its coset iff
         # that holds for every automorphism alpha != id.
@@ -450,17 +459,28 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
         keep = np.ones(len(perms), dtype=bool)
         for i, j in pairs:
             keep &= perms[:, i] < perms[:, j]
-        reps = perms[keep]
-        rinv = np.argsort(reps, axis=1).astype(np.uint8)
-        # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of
-        # the row of f in reps; n*n <= 64 keeps the first in uint8.
-        cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(len(reps), n * n)
-        rep_row = np.arange(len(reps))[:, None] * n
-        tables.append(reps.take(g.array.astype(np.uint8).take(cell_idx) + rep_row))
-    labels = np.repeat(np.arange(len(kinds)), [len(t) for t in tables])
-    flat = np.concatenate(tables)
-    bases = (make_group(kind).array.astype(np.uint8).reshape(-1) for kind in kinds)
-    dists = np.array([(flat != base).sum(axis=1, dtype=np.uint8) for base in bases])
+        reps_of.append(np.flatnonzero(keep))
+    labels = np.repeat(np.arange(len(kinds)), [len(idx) for idx in reps_of])
+    flat = np.empty((len(labels), n * n), dtype=np.uint8)
+    dists = np.empty((len(kinds), len(labels)), dtype=np.uint8)
+    bases = [g.array.astype(np.uint8).reshape(-1) for g in groups]
+    points = np.arange(n, dtype=np.uint8)
+    lo = 0
+    for table, idx in zip(bases, reps_of):
+        for start in range(0, len(idx), _TABLE_BLOCK):
+            reps = perms[idx[start : start + _TABLE_BLOCK]]
+            b = len(reps)
+            rows = np.arange(b)[:, None]
+            rinv = np.empty_like(reps)
+            rinv[rows, reps] = points  # the inverse of each f, by scatter
+            # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and
+            # of the row of f in reps; n*n <= 64 keeps the first in uint8.
+            cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(b, n * n)
+            block = flat[lo : lo + b]
+            reps.take(table.take(cell_idx) + rows * n, out=block)
+            for base, row in zip(bases, dists):
+                row[lo : lo + b] = (block != base).sum(axis=1, dtype=np.uint8)
+            lo += b
     for arr in (flat, labels, dists):
         arr.setflags(write=False)  # shared by every caller of the cache
     return flat.reshape(-1, n, n), labels, kinds, dists
@@ -488,6 +508,30 @@ def _scope(n: int, scope: str) -> str:
     return resolved
 
 
+def _kind_minimum(kind: GroupKind, scope: str) -> tuple[int, int]:
+    """The least distance from the canonical table of `kind` to a table of
+    the resolved scope, and the index in all_group_tables of the first
+    table at it; O(N) mask and argmin work over the kind's row of dists,
+    and no table is built."""
+    n = kind.order
+    _, labels, kinds, dists = all_group_tables(n)
+    try:
+        base_label = kinds.index(kind)
+    except ValueError:
+        raise InputError(f"{kind} is not a group of order {n} in the catalog")
+    diffs = dists[base_label]
+    if scope == "mu":
+        mask = (labels == base_label) & (diffs > 0)
+    elif scope == "nu":
+        mask = labels != base_label
+    else:
+        mask = diffs > 0
+    if not mask.any():
+        raise InputError(f"no table satisfies scope {scope!r} at order {n}")
+    j = int(np.argmin(np.where(mask, diffs, n * n + 1)))
+    return int(diffs[j]), j
+
+
 def kind_stability(
     kind: GroupKind, scope: str = "all", allow_slow: bool = False
 ) -> tuple[int, tuple[GroupTable, GroupTable]]:
@@ -503,23 +547,8 @@ def kind_stability(
     stays only because the benchmark workloads still pass it.
     """
     n = kind.order
-    scope = _scope(n, scope)
-    tables, labels, kinds, dists = all_group_tables(n)
-    try:
-        base_label = kinds.index(kind)
-    except ValueError:
-        raise InputError(f"{kind} is not a group of order {n} in the catalog")
-    diffs = dists[base_label]
-    if scope == "mu":
-        mask = (labels == base_label) & (diffs > 0)
-    elif scope == "nu":
-        mask = labels != base_label
-    else:
-        mask = diffs > 0
-    if not mask.any():
-        raise InputError(f"no table satisfies scope {scope!r} at order {n}")
-    j = int(np.argmin(np.where(mask, diffs, n * n + 1)))
-    return int(diffs[j]), (make_group(kind), validate_table(tables[j]))
+    value, j = _kind_minimum(kind, _scope(n, scope))
+    return value, (make_group(kind), validate_table(all_group_tables(n)[0][j]))
 
 
 def brute_delta(
@@ -531,12 +560,13 @@ def brute_delta(
 
     Every pair is a transport of a pair whose first table is canonical,
     and distance is invariant under transport, so this is the minimum of
-    kind_stability over the kinds of order n.  The witness is that of the
-    first kind, in groups_of_order order, to reach the minimum.  allow_slow
-    does nothing; it stays only because the benchmark workloads still pass it.
+    kind_stability over the kinds of order n.  Each kind's minimum is read
+    without building a table, and only the first kind, in groups_of_order
+    order, to reach the least one builds and validates its witness, as
+    kind_stability does.  allow_slow does nothing; it stays only because
+    the benchmark workloads still pass it.
     """
     scope = _scope(n, scope)
-    return min(
-        (kind_stability(kind, scope) for kind in groups_of_order(n)),
-        key=lambda result: result[0],
-    )
+    kinds = groups_of_order(n)
+    values = [_kind_minimum(kind, scope)[0] for kind in kinds]
+    return kind_stability(kinds[values.index(min(values))], scope)

@@ -14,6 +14,7 @@ from cayleydist.errors import (
     NoIdentity,
     NotLatin,
 )
+from cayleydist import metric
 from cayleydist.metric import LemmaViolation
 from cayleydist import search
 from cayleydist.search import all_group_tables
@@ -414,6 +415,22 @@ def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable,
         cd.validate_table(tables[best_pair[0]]),
         cd.validate_table(tables[best_pair[1]]),
     )
+
+
+def oracle_brute_delta_by_kinds(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable, cd.GroupTable]]:
+    """brute_delta as the minimum of kind_stability over the kinds of order
+    n, each kind building and validating its own witness; the first kind
+    at the minimum wins."""
+    return min(
+        (cd.kind_stability(kind, scope) for kind in cd.groups_of_order(n)),
+        key=lambda result: result[0],
+    )
+
+
+def light_set(a: cd.GroupTable, b: cd.GroupTable) -> list[int]:
+    """Rows where the tables nearly agree, {g : d(g) < n/3} strict: the set
+    that reconstruct_isomorphism fixes, read through its own kernels."""
+    return metric._light_rows(metric._mismatches(a, b)[1]).tolist()
 
 
 def oracle_search_m(p: int, m: int, rows) -> search.MCase:

@@ -630,6 +630,10 @@ class TestMakeGroup:
                 lambda: cd.GroupKind("direct_product", factors=(cd.GroupKind.cyclic(2), 2)),
                 "direct_product factor 2 is not a GroupKind",
             ),
+            (
+                lambda: cd.GroupKind("direct_product", factors=5),
+                "factors 5 is not a sequence of GroupKind",
+            ),
         ],
         ids=[
             "cyclic_float",
@@ -643,12 +647,25 @@ class TestMakeGroup:
             "cyclic_with_factors",
             "product_param",
             "product_factor_not_a_kind",
+            "factors_not_a_sequence",
         ],
     )
     def test_kind_valid_from_construction(self, build, message):
         # make_group trusts its kind, so a bad param never reaches a table
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             build()
+
+    def test_kind_factors_stored_as_tuple(self):
+        a = cd.GroupKind.cyclic(4)
+        b = cd.GroupKind.cyclic(2)
+        kind = cd.GroupKind("direct_product", factors=[a, b])
+        assert kind.factors == (a, b)
+        assert kind == cd.GroupKind.direct_product(a, b)
+        assert hash(kind) == hash(cd.GroupKind.direct_product(a, b))
+        value, (base, other) = cd.kind_stability(kind, "nu")
+        assert (value, base) == (16, cd.make_group(cd.GroupKind.direct_product(a, b)))
+        assert cd.dist(base, other).total == value
+        assert cd.GroupKind("cyclic", 3, factors=[]) == cd.GroupKind.cyclic(3)
 
     def test_kind_param_stored_as_int(self):
         for param in (5, np.int64(5), np.uint8(5)):

@@ -20,6 +20,7 @@ from conftest import (
     cyclic,
     dihedral,
     estim1_bound,
+    light_set,
     oracle_check_lemmas,
     oracle_dist,
     oracle_mf,
@@ -140,13 +141,13 @@ class TestDelta0:
 
 class TestLightSet:
     def test_identical_tables(self, z7):
-        assert cd.light_set(z7, z7) == list(range(7))
+        assert light_set(z7, z7) == list(range(7))
 
     def test_z7_paper_pair(self, z7, paper_f7):
         moved = cd.transport(z7, paper_f7)
         prof = cd.dist(z7, moved)
         # at odd order each row distance is 0 or >= 3, so K is the agreement set
-        assert cd.light_set(z7, moved) == [
+        assert light_set(z7, moved) == [
             g for g in range(7) if prof.row[g] == 0
         ]
 
@@ -154,7 +155,7 @@ class TestLightSet:
         moved = cd.transport(z5, cd.Permutation.transposition(5, 2, 3))
         prof = cd.dist(z5, moved)
         assert prof.total == 12
-        K = cd.light_set(z5, moved)
+        K = light_set(z5, moved)
         assert all(3 * prof.row[g] < 5 for g in K)
         assert all(3 * prof.row[g] >= 5 for g in range(5) if g not in K)
 

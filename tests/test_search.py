@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from cayleydist.search import (
 from conftest import (
     cyclic,
     oracle_all_group_tables,
+    oracle_brute_delta_by_kinds,
     oracle_dist,
     oracle_pairwise_delta,
     oracle_search_m,
@@ -538,6 +540,38 @@ class TestBruteDelta:
             for i in sample:
                 assert dists[k, i] == cd.dist(base, cd.validate_table(tables[i])).total
 
+    @pytest.fixture
+    def small_table_block(self, monkeypatch):
+        # An odd block: most kinds end in a partial block, and the kinds of
+        # order <= 3 and e2:2 fit in one.
+        monkeypatch.setattr(search, "_TABLE_BLOCK", 7)
+        all_group_tables.cache_clear()
+        yield
+        all_group_tables.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_block_boundaries(self, small_table_block, n):
+        tables, labels, kinds, dists = all_group_tables(n)
+        expected = oracle_all_group_tables(n)
+        assert np.array_equal(tables, expected[0])
+        assert np.array_equal(labels, expected[1])
+        assert kinds == expected[2]
+        for k, kind in enumerate(kinds):
+            base = cd.make_group(kind)
+            for i, table in enumerate(tables):
+                assert dists[k, i] == cd.dist(base, cd.validate_table(table)).total
+
+    def test_build_memory_is_bounded_by_the_block(self):
+        # The build's peak over what it keeps, with a cold table cache.
+        all_group_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            all_group_tables(8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 2 * 2**20
+
     def test_every_enumerated_table_is_a_group(self):
         tables, _, _, _ = all_group_tables(4)
         for arr in tables:
@@ -575,6 +609,19 @@ class TestBruteDelta:
             # One iso class: the canonical-representative reduction is the
             # global scan itself.
             assert cd.kind_stability(kinds[0], scope) == expected
+
+    @pytest.mark.parametrize(
+        "n,scope",
+        [
+            (n, scope)
+            for n in range(2, 9)
+            for scope in ("all", "mu", "nu", "isomorphic_only", "nonisomorphic_only")
+            if not (cd.is_prime(n) and scope in ("nu", "nonisomorphic_only"))
+        ],
+    )
+    def test_matches_minimum_over_kinds(self, n, scope):
+        # One witness built per call, the same as every kind's own.
+        assert cd.brute_delta(n, scope) == oracle_brute_delta_by_kinds(n, scope)
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_order_below_two(self, n):
