@@ -545,13 +545,30 @@ def _span(t: GroupTable, gens: Sequence[int]) -> dict[int, tuple[int, int]]:
 
 
 def generating_sequence(t: GroupTable) -> list[int]:
-    """A greedy generating sequence: smallest element outside the span, repeat."""
-    span = {t.identity}
+    """A greedy generating sequence: smallest element outside the span, repeat.
+
+    The span is _span's set, grown in one walk: a new generator multiplies
+    every element reached so far, and each element it reaches is then
+    multiplied by every generator, so each (element, generator) product is
+    read once.  Needs no group axiom, so validate_table can call it before
+    associativity is known."""
+    reached = [False] * t.n
+    reached[t.identity] = True
+    walk = [t.identity]
+    columns: list[list[int]] = []
     gens: list[int] = []
-    for x in range(t.n):
-        if x not in span:
-            gens.append(x)
-            span = _span(t, gens).keys()
+    for g in range(t.n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        columns.append(t.array[:, g].tolist())
+        todo = [columns[-1][x] for x in walk]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                walk.append(y)
+                todo.extend(col[y] for col in columns)
     return gens
 
 

@@ -210,9 +210,13 @@ def _transposition_mf(t: GroupTable, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
         m_f = 3 (2n - 4 - 2 eps) - (1 + 2 I)(out(uv') + out(vu')) + corner.
     """
-    M, e = t.array, t.identity
+    M, e, n = t.array, t.identity, t.n
     inv = (M == e).argmax(1)
     iu, iv = inv[u], inv[v]
+    flat = M.ravel()
+
+    def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return flat.take(a * n + b)  # M[a, b]; a flat take beats the 2-D gather
 
     def out(w: np.ndarray) -> np.ndarray:
         return (w != u) & (w != v)
@@ -220,16 +224,16 @@ def _transposition_mf(t: GroupTable, u: np.ndarray, v: np.ndarray) -> np.ndarray
     def tau(w: np.ndarray) -> np.ndarray:
         return np.where(w == u, v, np.where(w == v, u, w))
 
-    involution = M[iu, v] == M[iv, u]
-    outs = out(M[u, iv]).astype(np.intp) + out(M[v, iu])
-    uu, uv, vu, vv = M[u, u], M[u, v], M[v, u], M[v, v]
+    involution = at(iu, v) == at(iv, u)
+    outs = out(at(u, iv)).astype(np.intp) + out(at(v, iu))
+    uu, uv, vu, vv = at(u, u), at(u, v), at(v, u), at(v, v)
     corner = (
         (tau(uu) != vv).astype(np.intp)
         + (tau(uv) != vu)
         + (tau(vu) != uv)
         + (tau(vv) != uu)
     )
-    return 3 * (2 * len(M) - 4 - 2 * out(e)) - (1 + 2 * involution) * outs + corner
+    return 3 * (2 * n - 4 - 2 * out(e)) - (1 + 2 * involution) * outs + corner
 
 
 def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:

@@ -52,8 +52,8 @@ from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
 _BLOCK = 2048
 
 # Coset representatives per block of all_group_tables.  Bounds its
-# temporaries, the (block, n*n) gather index and mismatch mask, to well
-# under 1 MiB at n = 8, beside the tables it keeps.
+# temporaries, the (block, n*n) tables, gather index and mismatch mask, to
+# well under 1 MiB at n = 8, beside the coset representatives it keeps.
 _TABLE_BLOCK = 1024
 
 SCOPE_ALIASES = {
@@ -423,25 +423,42 @@ def _lex_permutations(n: int) -> np.ndarray:
     return perms
 
 
+def _transport_block(
+    table: np.ndarray, reps: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The transports f(G[f^-1 a][f^-1 b]) of the flat (n*n,) table G by
+    each row f of the (b, n) uint8 array reps, as a (b, n*n) uint8 array,
+    written to out when it is given."""
+    b, n = reps.shape
+    rows = np.arange(b)[:, None]
+    rinv = np.empty_like(reps)
+    rinv[rows, reps] = np.arange(n, dtype=np.uint8)  # the inverse of each f, by scatter
+    # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of the
+    # row of f in reps; n*n <= 64 keeps the first in uint8.
+    cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(b, n * n)
+    return reps.take(table.take(cell_idx) + rows * n, out=out)
+
+
 @lru_cache(maxsize=4)
 def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...], np.ndarray]:
-    """Every group table on {0..n-1}, each once, with iso-class labels and
-    its distance from each canonical table, all in one cache entry.
+    """Every group table on {0..n-1}, each once, as the permutation that
+    makes it from its canonical table, with iso-class labels and its
+    distance from each canonical table, all in one cache entry.
 
-    Returns (tables (N, n, n) uint8, labels (N,) int, kinds, dists
-    (len(kinds), N) uint8): labels[i] indexes into kinds, and dists[k, i]
-    counts the cells where tables[i] differs from make_group(kinds[k])
-    (n * n <= 64 keeps it in uint8).  All three arrays are read-only, since
-    every caller shares them through the cache.  Tables are the transports
-    f(G[f^-1 a][f^-1 b]) of the canonical catalog tables G, kind by kind in
-    catalog order and within a kind in the lexicographic order of f, each
-    table at its first f.  Two f give one table iff they lie in one coset
-    f Aut(G), so each kind has n! / |Aut(G)| tables, and only the first f
-    of each coset is transported.
+    Returns (reps (N, n) uint8, labels (N,) int, kinds, dists
+    (len(kinds), N) uint8).  Table i is the transport
+    f(G[f^-1 a][f^-1 b]) of G = make_group(kinds[labels[i]]) by
+    f = reps[i], and dists[k, i] counts the cells where it differs from
+    make_group(kinds[k]) (n * n <= 64 keeps it in uint8).  All three
+    arrays are read-only, since every caller shares them through the
+    cache.  Tables come kind by kind in catalog order and within a kind in
+    the lexicographic order of f.  Two f give one table iff they lie in one
+    coset f Aut(G), so each kind has n! / |Aut(G)| tables, and reps[i] is
+    the first f of table i's coset: its n bytes stand for the n * n cells.
 
-    The result is preallocated and filled _TABLE_BLOCK coset
-    representatives at a time, tables and distances together, so the
-    temporaries beside it are bounded by the block, not by N.
+    The tables are built _TABLE_BLOCK coset representatives at a time,
+    into one reused buffer, only to fill their columns of dists, so the
+    temporaries beside the result are bounded by the block, not by N.
     """
     kinds = tuple(groups_of_order(n))
     perms = _lex_permutations(n)
@@ -460,30 +477,23 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
         for i, j in pairs:
             keep &= perms[:, i] < perms[:, j]
         reps_of.append(np.flatnonzero(keep))
-    labels = np.repeat(np.arange(len(kinds)), [len(idx) for idx in reps_of])
-    flat = np.empty((len(labels), n * n), dtype=np.uint8)
+    counts = [len(idx) for idx in reps_of]
+    labels = np.repeat(np.arange(len(kinds)), counts)
+    reps = perms[np.concatenate(reps_of)]
     dists = np.empty((len(kinds), len(labels)), dtype=np.uint8)
     bases = [g.array.astype(np.uint8).reshape(-1) for g in groups]
-    points = np.arange(n, dtype=np.uint8)
+    buf = np.empty((min(_TABLE_BLOCK, len(labels)), n * n), dtype=np.uint8)
     lo = 0
-    for table, idx in zip(bases, reps_of):
-        for start in range(0, len(idx), _TABLE_BLOCK):
-            reps = perms[idx[start : start + _TABLE_BLOCK]]
-            b = len(reps)
-            rows = np.arange(b)[:, None]
-            rinv = np.empty_like(reps)
-            rinv[rows, reps] = points  # the inverse of each f, by scatter
-            # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and
-            # of the row of f in reps; n*n <= 64 keeps the first in uint8.
-            cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(b, n * n)
-            block = flat[lo : lo + b]
-            reps.take(table.take(cell_idx) + rows * n, out=block)
+    for table, count in zip(bases, counts):
+        for start in range(lo, lo + count, _TABLE_BLOCK):
+            stop = min(start + _TABLE_BLOCK, lo + count)
+            block = _transport_block(table, reps[start:stop], out=buf[: stop - start])
             for base, row in zip(bases, dists):
-                row[lo : lo + b] = (block != base).sum(axis=1, dtype=np.uint8)
-            lo += b
-    for arr in (flat, labels, dists):
+                row[start:stop] = (block != base).sum(axis=1, dtype=np.uint8)
+        lo += count
+    for arr in (reps, labels, dists):
         arr.setflags(write=False)  # shared by every caller of the cache
-    return flat.reshape(-1, n, n), labels, kinds, dists
+    return reps, labels, kinds, dists
 
 
 def distinct_table_counts(n: int) -> dict[str, int]:
@@ -543,12 +553,17 @@ def kind_stability(
     the canonical representative fixed loses nothing.  The distances are
     the kind's row of all_group_tables' dists, so a call is O(N) mask and
     argmin work.  The witness is the canonical table and the first table,
-    in all_group_tables order, at the minimum.  allow_slow does nothing; it
-    stays only because the benchmark workloads still pass it.
+    in all_group_tables order, at the minimum: the one table the call
+    builds, from its coset representative, and validates.  allow_slow does
+    nothing; it stays only because the benchmark workloads still pass it.
     """
     n = kind.order
     value, j = _kind_minimum(kind, _scope(n, scope))
-    return value, (make_group(kind), validate_table(all_group_tables(n)[0][j]))
+    reps, labels, kinds, _ = all_group_tables(n)
+    base = make_group(kind)
+    source = base if kinds[labels[j]] == kind else make_group(kinds[labels[j]])
+    cells = _transport_block(source.array.ravel(), reps[j : j + 1])
+    return value, (base, validate_table(cells.reshape(n, n)))
 
 
 def brute_delta(
@@ -561,10 +576,11 @@ def brute_delta(
     Every pair is a transport of a pair whose first table is canonical,
     and distance is invariant under transport, so this is the minimum of
     kind_stability over the kinds of order n.  Each kind's minimum is read
-    without building a table, and only the first kind, in groups_of_order
-    order, to reach the least one builds and validates its witness, as
-    kind_stability does.  allow_slow does nothing; it stays only because
-    the benchmark workloads still pass it.
+    from its row of all_group_tables' dists without building a table, and
+    only the first kind, in groups_of_order order, to reach the least one
+    builds its witness from that table's coset representative and
+    validates it, in one kind_stability call.  allow_slow does nothing; it
+    stays only because the benchmark workloads still pass it.
     """
     scope = _scope(n, scope)
     kinds = groups_of_order(n)

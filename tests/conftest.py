@@ -359,38 +359,65 @@ def oracle_is_dihedral_twice_odd(t: cd.GroupTable) -> bool:
     return False
 
 
-def oracle_all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[cd.GroupKind, ...]]:
-    """all_group_tables(n)[:3] as a per-table dedupe loop over the transports of
-    each catalog kind, raising if two kinds produce the same table."""
+def oracle_all_group_tables(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[cd.GroupKind, ...], np.ndarray]:
+    """Every group table of order n as a per-table dedupe loop over the
+    transports of each catalog kind by every permutation f in
+    itertools.permutations order, raising if two kinds produce the same
+    table: (tables (N, n, n) uint8, labels (N,) int64, kinds, firsts
+    (N, n) uint8), where firsts[i] is the first f that gave table i."""
     kinds = tuple(cd.groups_of_order(n))
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     pinv = np.argsort(perms, axis=1)
     seen: dict[bytes, int] = {}
     uniq: list[np.ndarray] = []
     labels: list[int] = []
+    firsts: list[np.ndarray] = []
     rows_idx = np.arange(len(perms))[:, None, None]
     for label, kind in enumerate(kinds):
         cells = cd.make_group(kind).array
         inner = cells[pinv[:, :, None], pinv[:, None, :]]
         transported = perms[rows_idx, inner].astype(np.uint8)
-        for t in transported:
+        for f, t in zip(perms, transported):
             key = t.tobytes()
             prev = seen.get(key)
             if prev is None:
                 seen[key] = label
                 uniq.append(t)
                 labels.append(label)
+                firsts.append(f)
             elif prev != label:  # two catalog kinds produced the same table
                 raise InputError(f"catalog overlap at order {n}: {kinds[prev]} vs {kind}")
-    return np.stack(uniq), np.array(labels, dtype=np.int64), kinds
+    return (
+        np.stack(uniq),
+        np.array(labels, dtype=np.int64),
+        kinds,
+        np.array(firsts, dtype=np.uint8).reshape(-1, n),
+    )
+
+
+def expanded_tables(n: int) -> np.ndarray:
+    """all_group_tables(n)'s tables as an (N, n, n) uint8 array: table i is
+    the canonical table of its kind transported by reps[i], as a fancy
+    gather f[G[f^-1, f^-1]] with f^-1 by argsort."""
+    reps, labels, kinds, _ = all_group_tables(n)
+    tables = np.empty((len(reps), n, n), dtype=np.uint8)
+    for label, kind in enumerate(kinds):
+        own = labels == label
+        f = reps[own].astype(np.intp)
+        finv = np.argsort(f, axis=1)
+        inner = cd.make_group(kind).array[finv[:, :, None], finv[:, None, :]]
+        tables[own] = f[np.arange(len(f))[:, None, None], inner]
+    return tables
 
 
 def oracle_pairwise_delta(n: int, scope: str) -> tuple[int, tuple[cd.GroupTable, cd.GroupTable]]:
     """brute_delta as the O(N^2) sweep over every pair (i < j) of the N
-    tables of order n, returning the lexicographically first minimizing
-    pair."""
+    tables of oracle_all_group_tables(n), returning the lexicographically
+    first minimizing pair."""
     scope = {"isomorphic_only": "mu", "nonisomorphic_only": "nu"}.get(scope, scope)
-    tables, labels, _, _ = all_group_tables(n)
+    tables, labels, _, _ = oracle_all_group_tables(n)
     flat = tables.reshape(len(tables), -1)
     best_val = None
     best_pair = None
@@ -474,6 +501,18 @@ def oracle_span(t: cd.GroupTable, gens) -> dict[int, tuple[int, int]]:
                 reached[y] = (x, i)
                 walk.append(y)
     return reached
+
+
+def oracle_generating_sequence(t: cd.GroupTable) -> list[int]:
+    """generating_sequence as the greedy loop that walks the span from the
+    identity afresh, with group_core._span, after each new generator."""
+    span = {t.identity}
+    gens: list[int] = []
+    for x in range(t.n):
+        if x not in span:
+            gens.append(x)
+            span = cd.group_core._span(t, gens).keys()
+    return gens
 
 
 def oracle_reconstruct(a: cd.GroupTable, b: cd.GroupTable) -> cd.Permutation:

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import cayleydist as cd
-from cayleydist.search import all_group_tables
 
-from conftest import cyclic, random_permutation
+from conftest import cyclic, expanded_tables, random_permutation
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -119,8 +118,7 @@ def _check_agreement_subgroup(t, prof):
 
 def _exhaustive_pair_checks_order7() -> int:
     """Vectorized sweep over all pairs of order-7 tables; returns pair count."""
-    tables, _, _, _ = all_group_tables(7)
-    T = tables.astype(np.int16)
+    T = expanded_tables(7).astype(np.int16)
     n = 7
     pairs = 0
     for i in range(len(T) - 1):
@@ -143,7 +141,7 @@ def _exhaustive_pair_checks_order7() -> int:
 def test_criterion_6_lemma_property_suite():
     start = time.perf_counter()
     # exhaustive order-5 pairs via the library operations
-    tables5, _, _, _ = all_group_tables(5)
+    tables5 = expanded_tables(5)
     grids5 = [cd.validate_table([[int(v) for v in r] for r in arr]) for arr in tables5]
     pairs5 = 0
     for i, a in enumerate(grids5):

@@ -25,6 +25,7 @@ from conftest import (
     oracle_closure,
     oracle_first_invalid,
     oracle_first_nonassociative,
+    oracle_generating_sequence,
     oracle_is_dihedral_twice_odd,
     oracle_isomorphisms,
     oracle_make_group,
@@ -1017,3 +1018,37 @@ def test_generating_sequence_spans():
                     assert g not in span
                     span = oracle_closure(table, span | {g})
                 assert span == set(range(n))
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "cyclic:8", "cyclic:4*cyclic:2", "e2:3", "dihedral:4", "q8",
+        "cyclic:101", "dihedral:50", "dihedral:51", "e2:4", "cyclic:6*cyclic:2",
+    ],
+)
+def test_generating_sequence_matches_fresh_walks(label):
+    # the one-walk closure against _span run afresh after each generator,
+    # on the canonical table and 20 seeded relabellings
+    base = cd.make_group(cd.GroupKind.parse(label))
+    rng = random.Random(label)
+    for table in [base] + [cd.transport(base, random_permutation(base.n, rng)) for _ in range(20)]:
+        assert cd.generating_sequence(table) == oracle_generating_sequence(table)
+
+
+def test_generating_sequence_matches_fresh_walks_off_groups():
+    # validate_table calls generating_sequence before associativity is
+    # known, so it must agree on Latin squares that are not groups too:
+    # every loop of order 5 and switched intercalates up to order 100,
+    # each as given (identity 0) and relabelled
+    rng = random.Random(23)
+    squares = [*reduced_loops(5), *(switched_intercalate(k, rng) for k in range(3, 51))]
+    for cells in squares:
+        n = len(cells)
+        f = random_permutation(n, rng).image
+        moved = [[0] * n for _ in range(n)]
+        for x, row in enumerate(cells):
+            for y, v in enumerate(row):
+                moved[f[x]][f[y]] = f[v]
+        for table in (cd.GroupTable(n, cells, 0), cd.GroupTable(n, moved, f[0])):
+            assert cd.generating_sequence(table) == oracle_generating_sequence(table)

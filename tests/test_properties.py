@@ -17,6 +17,7 @@ import cayleydist as cd
 from conftest import (
     cyclic,
     estim1_bound,
+    expanded_tables,
     light_set,
     oracle_dist,
     oracle_mf,
@@ -132,10 +133,7 @@ def test_triple_row_sum_inequality(n):
 
 def test_exhaustive_small_order_row_distances():
     # all pairs of order-4 group tables: no row distance equals 1
-    from cayleydist.search import all_group_tables
-
-    tables, _, _, _ = all_group_tables(4)
-    grids = [cd.validate_table([[int(v) for v in r] for r in arr]) for arr in tables]
+    grids = [cd.validate_table([[int(v) for v in r] for r in arr]) for arr in expanded_tables(4)]
     for i, a in enumerate(grids):
         for b in grids[i + 1 :]:
             prof = cd.dist(a, b)

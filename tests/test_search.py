@@ -31,6 +31,7 @@ from cayleydist.search import (
 
 from conftest import (
     cyclic,
+    expanded_tables,
     oracle_all_group_tables,
     oracle_brute_delta_by_kinds,
     oracle_dist,
@@ -509,8 +510,10 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_group_tables_matches_oracle(self, n):
-        tables, labels, kinds, _ = all_group_tables(n)
+        reps, labels, kinds, _ = all_group_tables(n)
+        tables = expanded_tables(n)
         expected = oracle_all_group_tables(n)
+        assert reps.dtype == np.uint8 and reps.shape == (len(labels), n)
         assert tables.dtype == expected[0].dtype == np.uint8
         assert labels.dtype == expected[1].dtype == np.int64
         assert np.array_equal(tables, expected[0])
@@ -529,9 +532,22 @@ class TestBruteDelta:
         assert sum(counts.values()) == len(tables)
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_reps_are_first_of_their_coset(self, n):
+        # every row at n <= 7; a seeded sample of 2000 rows at n = 8
+        reps, labels, kinds, _ = all_group_tables(n)
+        tables = expanded_tables(n)  # equal to the oracle's, as tested above
+        # the oracle keeps the first f, in itertools order, of each table
+        assert np.array_equal(reps, oracle_all_group_tables(n)[3])
+        sample = range(len(reps)) if n <= 7 else random.Random(n).sample(range(len(reps)), 2000)
+        for i in sample:
+            moved = cd.transport(cd.make_group(kinds[labels[i]]), cd.Permutation(tuple(reps[i].tolist())))
+            assert np.array_equal(moved.array, tables[i])
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_dists_are_distances_to_the_canonical_tables(self, n):
         # every table at n <= 7; a seeded sample of 2000 per kind at n = 8
-        tables, _, kinds, dists = all_group_tables(n)
+        _, _, kinds, dists = all_group_tables(n)
+        tables = expanded_tables(n)
         assert dists.dtype == np.uint8 and dists.shape == (len(kinds), len(tables))
         rng = random.Random(n)
         for k, kind in enumerate(kinds):
@@ -551,7 +567,8 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_block_boundaries(self, small_table_block, n):
-        tables, labels, kinds, dists = all_group_tables(n)
+        _, labels, kinds, dists = all_group_tables(n)
+        tables = expanded_tables(n)
         expected = oracle_all_group_tables(n)
         assert np.array_equal(tables, expected[0])
         assert np.array_equal(labels, expected[1])
@@ -562,7 +579,8 @@ class TestBruteDelta:
                 assert dists[k, i] == cd.dist(base, cd.validate_table(table)).total
 
     def test_build_memory_is_bounded_by_the_block(self):
-        # The build's peak over what it keeps, with a cold table cache.
+        # What the build keeps, and its peak over that, with a cold table
+        # cache: the kept reps, labels and dists come to about 0.48 MiB
         all_group_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -570,11 +588,11 @@ class TestBruteDelta:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert kept <= 0.6 * 2**20
         assert peak - kept <= 2 * 2**20
 
     def test_every_enumerated_table_is_a_group(self):
-        tables, _, _, _ = all_group_tables(4)
-        for arr in tables:
+        for arr in expanded_tables(4):
             cd.validate_table([[int(v) for v in row] for row in arr])
 
     def test_cached_arrays_are_read_only(self):
@@ -587,7 +605,7 @@ class TestBruteDelta:
         again = all_group_tables(4)
         for arr, old in zip((again[0], again[1], again[3]), before):
             assert np.array_equal(arr, old)
-        # kind_stability validates its witness from a read-only row of tables
+        # kind_stability validates its witness built from a read-only row of reps
         value, (base, other) = cd.kind_stability(cd.GroupKind.cyclic(4), "mu")
         assert cd.dist(base, other).total == value > 0
 
