@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full prime-stability verification sweep (11 <= p <= 31).
 
-Prints one summary line per prime.  Each prime is then searched again over
-every row (the all-rows superset), which must give the same delta = 6p - 18.
+Prints one summary line per prime.  Each prime is then verified again over
+every row (the all-rows superset, row 1's search carried to each row h by
+the automorphism x -> hx), which must give the same delta = 6p - 18.
 For a prime's JSON report, run `cayleydist verify --prime P --json FILE`.
 """
 

@@ -354,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive stability verification for a prime")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--all-rows", action="store_true", help="search every row, not just h=1")
+    p.add_argument(
+        "--all-rows",
+        action="store_true",
+        help="report every row h, not just h=1 (row 1's search carried by x -> hx)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force delta/mu/nu at small orders")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -253,22 +252,6 @@ def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:
     return bound1, bound2
 
 
-def max_disjoint_subset(
-    t: GroupTable, h: int, disagree: Sequence[int]
-) -> list[int]:
-    """Largest Y within `disagree` with Y and h.Y disjoint; exhaustive."""
-    for x in (h, *disagree):
-        check_element(x, t.n, "element")
-    elems = sorted(set(disagree))
-    hrow = t.array[h].tolist()
-    for size in range(len(elems), 0, -1):
-        for sub in combinations(elems, size):
-            shifted = {hrow[y] for y in sub}
-            if shifted.isdisjoint(sub):
-                return list(sub)
-    return []
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the analytic exclusion arithmetic for one (order, m) pair."""
@@ -290,21 +273,17 @@ class BoundReport:
         }
 
 
-# Size of a disjoint subset Y per minimum row distance m, as used by the
-# exclusion arithmetic: 2 for m = 3, and 3 asserted for m >= 4.  The value 3
-# does not hold: max_disjoint_subset(Z_p, 1, (1, 2, 3, 4)) is 2 at every p,
-# and with l = 2 the best bound at p = 23, m = 4 is 118 < 120 = 6p - 18.
-# So m = 4 at p = 23 rests on test_m4_searched_directly_at_23 (the full
-# search finds minimum 120), and at p = 29 and 31 on the l = 2 bounds
-# (test_m4_excluded_with_two_disjoint), not on this constant.
-_GUARANTEED_L = {3: 2, 4: 3}
-
-
 def analytic_lower_bound(p: int, m: int) -> BoundReport:
     """Aggregate every applicable lower bound on dist for prime order p.
 
     excluded means the best bound already reaches 6p-18, so no exhaustive
     search is needed for this m.
+
+    The bounds take l = ceil(m/2), the size of a subset Y of the m
+    disagreeing positions with Y and Y + 1 disjoint that every set of
+    m < p positions has: there the links x -> x + 1 form paths, never a
+    cycle, and every other point of each path gives such a Y.  Positions
+    1..m show that no larger size is guaranteed.
     """
     if not is_prime(p) or p <= 7:
         raise NotPrime(f"need a prime greater than 7, got {p}")
@@ -313,7 +292,7 @@ def analytic_lower_bound(p: int, m: int) -> BoundReport:
         raise MTooSmall(f"m = {m} cannot occur (rows differ in 0 or >= 3 places)")
     if m > p - 1:
         raise InputError(f"m = {m} exceeds p - 1 = {p - 1} at p = {p}")
-    l = _GUARANTEED_L.get(m, 3)
+    l = (m + 1) // 2
     bound1, bound2 = estim2_bounds(p, m, l)
     bounds: list[tuple[str, int]] = [("row_floor", m * (p - 1))]
     bounds.append((f"disjoint_pairs_l{l}", bound1))

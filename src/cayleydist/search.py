@@ -10,7 +10,10 @@ The pattern search scores one pattern of each reflection pair: x -> -x is
 an automorphism of Z_p that maps a pattern to a partner at the reflected
 positions, which completes with it and lies at the same distance.  Each
 scored pattern carries a weight, the number of family members it stands
-for, so the reported counts are those of the whole family.
+for, so the reported counts are those of the whole family.  x -> hx is an
+automorphism of Z_p that carries row 1's search to the row of h, so a
+search over several rows scores row 1's patterns once and counts them once
+per row.
 """
 
 from __future__ import annotations
@@ -335,13 +338,18 @@ def _phi_distances(
 
 
 def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
-    """Search every pattern of every row in rows, scoring only the patterns
-    of nonzero weight (one of each reflection pair), in enumeration order
-    and in blocks of at most _BLOCK scored patterns of one row.  The counts
-    are those of the whole family: a completing pattern counts its weight.
-    A partner is always later than the pattern scored for it, and blocks
-    come in order, so only a strictly smaller distance replaces the first
-    minimizer."""
+    """Search every pattern of every row in rows by completing and scoring
+    row 1's patterns of nonzero weight (one of each reflection pair) once,
+    in enumeration order and in blocks of at most _BLOCK scored patterns.
+
+    x -> hx is an automorphism of Z_p: pattern j on row h completes exactly
+    when pattern j on row 1 does, with phi_h = h phi_1, at the same
+    distance.  So each row adds row 1's counts, and the counts are those of
+    the whole family: a completing pattern counts its weight once per row.
+    Rows come in order, so the first minimizer lies in rows[0], at row 1's
+    first minimizer.  A partner is always later than the pattern scored
+    for it, and blocks come in order, so only a strictly smaller distance
+    replaces the first minimizer."""
     positions, sources, weights = _pattern_table(p, m)
     enumerated = len(positions) * len(rows)
     scored = np.flatnonzero(weights)
@@ -350,22 +358,21 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
     completing = 0
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
-    for h in rows:
-        for start in range(0, len(positions), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            phi, ok = _complete_block(p, h, positions[block], sources[block])
-            dvals = _phi_distances(p, phi[:, ok], cells)
-            completing += int(weights[block][ok].sum())
-            if len(dvals) and (min_distance is None or dvals.min() < min_distance):
-                k = int(np.argmin(dvals))
-                j = start + int(np.flatnonzero(ok)[k])
-                nxt = REARRANGEMENTS[m][scored[j] % len(REARRANGEMENTS[m])]
-                min_distance = int(dvals[k])
-                witness = _pattern(p, h, tuple(positions[j].tolist()), nxt)
+    for start in range(0, len(positions), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        phi, ok = _complete_block(p, 1, positions[block], sources[block])
+        dvals = _phi_distances(p, phi[:, ok], cells)
+        completing += int(weights[block][ok].sum())
+        if len(dvals) and (min_distance is None or dvals.min() < min_distance):
+            k = int(np.argmin(dvals))
+            j = start + int(np.flatnonzero(ok)[k])
+            nxt = REARRANGEMENTS[m][scored[j] % len(REARRANGEMENTS[m])]
+            min_distance = int(dvals[k])
+            witness = _pattern(p, rows[0], tuple(positions[j].tolist()), nxt)
     return MCase(
         m=m,
         candidates_enumerated=enumerated,
-        candidates_completing=completing,
+        candidates_completing=completing * len(rows),
         min_distance=min_distance,
         witness=witness,
     )
@@ -376,8 +383,8 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     single-row pattern not excluded by the analytic bounds; an open m with
     no pattern search is reported as not excluded, which fails the verdict.
 
-    By default only the row h = 1 is modified; all_rows runs the p-1 times
-    slower superset for consistency checking.
+    By default only the row h = 1 is modified; all_rows reports every row
+    h = 1..p-1 at the cost of the fixed row (see _search_m).
     """
     if not is_prime(p) or not 7 < p <= 31:
         raise OutOfVerifiedRange(

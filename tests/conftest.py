@@ -15,6 +15,7 @@ from cayleydist.errors import (
     NotLatin,
 )
 from cayleydist import metric
+from cayleydist.group_core import check_element
 from cayleydist.metric import LemmaViolation
 from cayleydist import search
 from cayleydist.search import all_group_tables
@@ -283,6 +284,22 @@ def estim1_bound(n: int, m: int) -> int:
     ceil(n/4)*ceil(n/3) + (n - ceil(n/4) - 1)*m."""
     q4 = -(-n // 4)
     return q4 * -(-n // 3) + (n - q4 - 1) * m
+
+
+def max_disjoint_subset(t: cd.GroupTable, h: int, disagree) -> list[int]:
+    """Largest Y within `disagree` with Y and h.Y disjoint, by trying every
+    subset from the largest down: the exhaustive oracle for the l that
+    analytic_lower_bound derives.  Its arguments are held to the element
+    rule."""
+    for x in (h, *disagree):
+        check_element(x, t.n, "element")
+    elems = sorted(set(disagree))
+    hrow = t.array[h].tolist()
+    for size in range(len(elems), 0, -1):
+        for sub in itertools.combinations(elems, size):
+            if {hrow[y] for y in sub}.isdisjoint(sub):
+                return list(sub)
+    return []
 
 
 def oracle_first_invalid(cells) -> tuple[type, str] | None:

@@ -184,14 +184,14 @@ def test_criterion_7_analytic_bound_suite():
     ok = all(cd.analytic_lower_bound(p, 5).excluded for p in primes if p <= 31)
     ok &= all(cd.analytic_lower_bound(p, 3).excluded for p in primes if p > 31)
     ok &= all(
-        cd.analytic_lower_bound(p, 4).excluded == (p > 19) for p in primes
+        cd.analytic_lower_bound(p, 4).excluded == (p > 23) for p in primes
     )
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1
     _report(
         7,
         ok,
-        f"m=5 excluded on 7<p<=31; m=3 excluded on 31<p<=10007; m=4 excluded iff p>19 "
+        f"m=5 excluded on 7<p<=31; m=3 excluded on 31<p<=10007; m=4 excluded iff p>23 "
         f"({len(primes)} primes); {elapsed:.2f}s < 1s",
     )
 

@@ -502,7 +502,6 @@ class TestOneTableForm:
             lambda: _after(lambda t: t.inverse(3), cyclic(5)),
             lambda: _after(lambda t: cd.power(t, 2, 3), cyclic(5)),
             lambda: _after(lambda t: t.to_text(), cyclic(5)),
-            lambda: _after(lambda t: cd.max_disjoint_subset(t, 1, (1, 2, 3)), cyclic(11)),
             _lemma_witness_pair,
             lambda: _after(lambda t: cd.apply_pattern(FIRST_M3_PATTERN, t), cyclic(11)),
             _complete_from_row_tables,
@@ -517,7 +516,6 @@ class TestOneTableForm:
             "inverse",
             "power",
             "to_text",
-            "max_disjoint_subset",
             "check_lemmas_witness",
             "apply_pattern",
             "complete_from_row",

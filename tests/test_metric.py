@@ -21,6 +21,7 @@ from conftest import (
     dihedral,
     estim1_bound,
     light_set,
+    max_disjoint_subset,
     oracle_check_lemmas,
     oracle_dist,
     oracle_mf,
@@ -273,27 +274,27 @@ class TestMaxDisjointSubset:
     def test_power_positions_m5(self):
         z11 = cyclic(11)
         disagree = [1, 3, 5, 7, 9]  # powers of h=1 with i0 > 0
-        Y = cd.max_disjoint_subset(z11, 1, disagree)
+        Y = max_disjoint_subset(z11, 1, disagree)
         assert len(Y) >= 3
         assert {z11.cells[1][y] for y in Y}.isdisjoint(Y)
 
     def test_adjacent_pairs_cap_at_two(self):
         z11 = cyclic(11)
-        Y = cd.max_disjoint_subset(z11, 1, [1, 2, 5, 6])
+        Y = max_disjoint_subset(z11, 1, [1, 2, 5, 6])
         assert len(Y) == 2
 
     def test_singleton(self, z7):
-        assert cd.max_disjoint_subset(z7, 1, [3]) == [3]
+        assert max_disjoint_subset(z7, 1, [3]) == [3]
 
     @pytest.mark.parametrize("h", [7, -1, 5])
     def test_h_not_an_element(self, z5, h):
         with pytest.raises(InputError, match=rf"^element {h} outside 0\.\.4$"):
-            cd.max_disjoint_subset(z5, h, (1, 2))
+            max_disjoint_subset(z5, h, (1, 2))
 
     @pytest.mark.parametrize("h,disagree", [(1.5, (1, 2)), (1, (1.5,))])
     def test_element_not_an_integer(self, z5, h, disagree):
         with pytest.raises(InputError, match=r"^element 1\.5 is not an integer$"):
-            cd.max_disjoint_subset(z5, h, disagree)
+            max_disjoint_subset(z5, h, disagree)
 
     def test_exhaustive_against_oracle(self):
         z11 = cyclic(11)
@@ -302,7 +303,7 @@ class TestMaxDisjointSubset:
 
         for _ in range(40):
             disagree = rng.sample(range(11), 5)
-            Y = cd.max_disjoint_subset(z11, 1, disagree)
+            Y = max_disjoint_subset(z11, 1, disagree)
             best = 0
             for size in range(1, 6):
                 for sub in combinations(sorted(disagree), size):
@@ -316,7 +317,21 @@ class TestMaxDisjointSubset:
 
         z11 = cyclic(11)
         for pos in combinations(range(1, 11), 5):
-            assert len(cd.max_disjoint_subset(z11, 1, list(pos))) >= 3
+            assert len(max_disjoint_subset(z11, 1, list(pos))) >= 3
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_least_over_all_positions_is_the_derived_l(self, p, m):
+        # the l of analytic_lower_bound is exactly the guaranteed size: the
+        # least max_disjoint_subset over every m-subset of 1..p-1
+        z = cyclic(p)
+        least = min(
+            len(max_disjoint_subset(z, 1, pos))
+            for pos in itertools.combinations(range(1, p), m)
+        )
+        assert least == -(-m // 2)
+        names = [name for name, _ in cd.analytic_lower_bound(p, m).bounds]
+        assert f"disjoint_pairs_l{least}" in names
 
 
 class TestAnalyticBounds:
@@ -333,15 +348,15 @@ class TestAnalyticBounds:
 
     def test_p11_m4_not_excluded(self):
         rep = cd.analytic_lower_bound(11, 4)
-        assert dict(rep.bounds)["disjoint_pairs_l3"] == 7 * 11 - 40 == 37
+        assert dict(rep.bounds)["disjoint_pairs_l2"] == 6 * 11 - 28 == 38
         assert rep.best == 40 < 48  # the row floor wins but stays below 6p-18
         assert not rep.excluded
 
     def test_four_adjacent_positions_allow_two(self):
-        # _GUARANTEED_L[4] = 3 does not hold: positions 1..4 under h = 1
-        # give l = 2 at every prime, and l = 2 leaves p = 23 at 118 < 120.
+        # positions 1..4 under h = 1 give l = 2 at every prime, so l = 3
+        # is not guaranteed at m = 4, and l = 2 leaves p = 23 at 118 < 120.
         for p in (11, 13, 17, 19, 23, 29, 31):
-            assert len(cd.max_disjoint_subset(cyclic(p), 1, (1, 2, 3, 4))) == 2
+            assert len(max_disjoint_subset(cyclic(p), 1, (1, 2, 3, 4))) == 2
         assert max(v for v in cd.estim2_bounds(23, 4, 2) if v is not None) == 118
 
     @pytest.mark.parametrize("p,best", [(29, 170), (31, 186)])

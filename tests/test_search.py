@@ -288,6 +288,30 @@ class TestReflectionQuotient:
         assert _search_m(p, 3, [1]).candidates_enumerated == family
         assert sum(completed) == scored
 
+    @pytest.mark.parametrize("rows", [[2, 3], [5], [7, 2]])
+    def test_search_matches_full_family_on_some_rows(self, rows):
+        # the witness is row 1's first minimizer, relabelled to rows[0]
+        for m in (3, 4):
+            case = _search_m(11, m, rows)
+            assert case == oracle_search_m(11, m, rows)
+            assert case.witness.h == rows[0]
+
+    @pytest.mark.parametrize("p, m", [(11, 3), (13, 4), (23, 4)])
+    def test_all_rows_complete_row_one_once(self, monkeypatch, p, m):
+        # x -> hx carries row 1's search to every row, so a search over all
+        # rows completes row 1's scored patterns once and no other row's
+        rows_completed = []
+        real = search._complete_block
+
+        def counting(p, h, positions, sources):
+            rows_completed.extend([h] * len(positions))
+            return real(p, h, positions, sources)
+
+        monkeypatch.setattr(search, "_complete_block", counting)
+        _search_m(p, m, list(range(1, p)))
+        _, _, weights = _pattern_table(p, m)
+        assert rows_completed == [1] * np.count_nonzero(weights)
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_search_matches_full_family_on_fixed_row(self, p):
         cases = cd.prime_stability_verify(p).m_cases
@@ -295,7 +319,7 @@ class TestReflectionQuotient:
         for case in cases:
             assert case == _search_m(p, case.m, [1]) == oracle_search_m(p, case.m, [1])
 
-    @pytest.mark.parametrize("p", [11, 13, 17])
+    @pytest.mark.parametrize("p", [p for p in PRIMES if p <= 23])
     def test_search_matches_full_family_on_all_rows(self, p):
         rows = list(range(1, p))
         cases = cd.prime_stability_verify(p, all_rows=True).m_cases
@@ -336,28 +360,37 @@ class TestPrimeStabilityVerify:
         assert case4.candidates_enumerated == math.comb(18, 4) == 3060
         assert report.delta == 96
 
-    def test_m4_excluded_above_19(self):
+    def test_m4_excluded_above_23(self):
         report = cd.prime_stability_verify(23)
-        assert {c.m for c in report.m_cases} == {3}
-        assert {b.m for b in report.analytic_exclusions} == {4, 5, 6}
+        assert {c.m for c in report.m_cases} == {3, 4}
+        assert {b.m for b in report.analytic_exclusions} == {5, 6}
+        for p in (29, 31):
+            report = cd.prime_stability_verify(p)
+            assert {c.m for c in report.m_cases} == {3}
+            assert {b.m for b in report.analytic_exclusions} == {4, 5, 6}
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_block_size_keeps_mcase(self, monkeypatch, block):
-        # blocks split each row, so the witness index must count the
-        # patterns of the earlier blocks (the m = 4 witness is pattern 7)
+        # blocks split row 1's scored patterns, so the witness index must
+        # count the patterns of the earlier blocks (the m = 4 witness is
+        # pattern 7)
         rows = list(range(1, 11))
         expected = [_search_m(11, m, rows) for m in (3, 4)]
         monkeypatch.setattr(search, "_BLOCK", block)
         assert [_search_m(11, m, rows) for m in (3, 4)] == expected
 
     def test_m4_searched_directly_at_23(self):
-        # The analytic exclusion of m = 4 at p = 23 needs l = 3 disjoint
-        # positions, but adjacent positions allow only 2 (see
-        # TestAnalyticBounds); the search covers the case instead.
-        case = _search_m(23, 4, list(range(1, 23)))
+        # With l = 2 the bounds leave m = 4 open at p = 23 (118 < 120), so
+        # verify searches it; every one of the 22 rows, scored on its own,
+        # agrees with the search and reaches 6p - 18.
+        case = oracle_search_m(23, 4, range(1, 23))
         assert case.candidates_enumerated == 22 * math.comb(22, 4) == 160930
         assert case.candidates_completing == 160930
         assert case.min_distance == 120 == 6 * 23 - 18
+        assert case == _search_m(23, 4, list(range(1, 23)))
+        searched = next(c for c in cd.prime_stability_verify(23).m_cases if c.m == 4)
+        assert searched.candidates_enumerated == math.comb(22, 4) == 7315
+        assert searched.min_distance == 120
 
     def test_determinism_across_runs(self):
         a = cd.prime_stability_verify(13)
