@@ -68,14 +68,13 @@ def _load_table(path: str) -> GroupTable:
 
 
 def _parse_perm(args: argparse.Namespace, n: int) -> Permutation:
-    if getattr(args, "perm", None):
+    """The permutation of --perm or of --cycles; argparse requires one."""
+    if args.perm is not None:
         return Permutation.parse(args.perm, n=n)
-    if getattr(args, "cycles", None):
-        text = args.cycles.strip()
-        if not text.startswith("("):
-            text = "(" + text + ")"
-        return Permutation.parse(text, n=n)
-    raise InputError("a permutation is required: pass --perm or --cycles")
+    text = args.cycles.strip()
+    if not text.startswith("("):
+        text = "(" + text + ")"
+    return Permutation.parse(text, n=n)
 
 
 def _perm_witness(p: Permutation) -> dict:
@@ -237,7 +236,7 @@ def _cmd_check_lemmas(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
-    report = prime_stability_verify(args.prime, all_rows=args.all_rows)
+    report = prime_stability_verify(args.prime)
     lines = [f"stability verification for p={args.prime} ({report.rows_searched}):"]
     for case in report.m_cases:
         lines.append(
@@ -258,7 +257,7 @@ def _cmd_verify(args) -> CommandResult:
     )
     return CommandResult(
         command="verify",
-        params={"prime": args.prime, "all_rows": args.all_rows},
+        params={"prime": args.prime},
         result=report.to_dict(),
         counts={
             "candidates_enumerated": sum(c.candidates_enumerated for c in report.m_cases),
@@ -276,9 +275,7 @@ def _cmd_oracle(args) -> CommandResult:
         command="oracle",
         params={"order": args.order, "scope": args.scope},
         result={name: value},
-        witnesses={
-            "pair": [wa.array.tolist(), wb.array.tolist()]
-        },
+        witnesses={"pair": [wa.array.tolist(), wb.array.tolist()]},
         text=f"{name}({args.order}) = {value}",
     )
 
@@ -317,14 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mf", help="distance of a permutation from a homomorphism")
     p.add_argument("table")
-    p.add_argument("--perm", help='image line, e.g. "0 1 4 5 2 3 6"')
-    p.add_argument("--cycles", help='cycle notation, e.g. "(2 3)(5 7)"')
+    perm = p.add_mutually_exclusive_group(required=True)
+    perm.add_argument("--perm", help='image line, e.g. "0 1 4 5 2 3 6"')
+    perm.add_argument("--cycles", help='cycle notation, e.g. "(2 3)(5 7)"')
     p.set_defaults(func=_cmd_mf)
 
     p = sub.add_parser("transport", help="transport a table along a permutation")
     p.add_argument("table")
-    p.add_argument("--perm")
-    p.add_argument("--cycles")
+    perm = p.add_mutually_exclusive_group(required=True)
+    perm.add_argument("--perm")
+    perm.add_argument("--cycles")
     p.add_argument("-o", "--output", help="write the new table here (default stdout)")
     p.set_defaults(func=_cmd_transport)
 
@@ -354,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive stability verification for a prime")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument(
-        "--all-rows",
-        action="store_true",
-        help="report every row h, not just h=1 (row 1's search carried by x -> hx)",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force delta/mu/nu at small orders")

@@ -33,18 +33,20 @@ from .errors import (
 INTEGER_TYPES = (int, np.integer, np.bool_)
 
 
-def check_integer(v: object, what: str, error: type[InputError] = InputError) -> None:
-    """Raise error unless v is an integer; the message leads with what, the
-    name of v, and shows the offending value."""
+def check_integer(v: object, what: str, error: type[InputError] = InputError) -> int:
+    """v as a Python int, or raise error if v is not an integer; the message
+    leads with what, the name of v, and shows the offending value."""
     if not isinstance(v, INTEGER_TYPES):
         raise error(f"{what} {v!r} is not an integer")
+    return int(v)
 
 
-def check_element(v: object, n: int, what: str, error: type[InputError] = InputError) -> None:
-    """Raise error unless v is an integer in 0..n-1, named as check_integer names it."""
-    check_integer(v, what, error)
+def check_element(v: object, n: int, what: str, error: type[InputError] = InputError) -> int:
+    """v as check_integer returns it, raising error unless it lies in 0..n-1."""
+    v = check_integer(v, what, error)
     if not 0 <= v < n:
-        raise error(f"{what} {int(v)} outside 0..{n - 1}")
+        raise error(f"{what} {v} outside 0..{n - 1}")
+    return v
 
 
 def is_prime(n: int) -> bool:
@@ -198,7 +200,7 @@ class GroupTable:
 
     def __init__(self, n: int, cells: Sequence[Sequence[int]], identity: int) -> None:
         arr = _cell_array(cells, n)
-        check_element(identity, n, "identity")
+        identity = check_element(identity, n, "identity")
         arr.setflags(write=False)
         vars(self).update(n=n, identity=identity, array=arr)
 
@@ -232,11 +234,11 @@ class GroupTable:
         return tuple(map(tuple, self.array.tolist()))
 
     def inverse(self, a: int) -> int:
-        check_element(a, self.n, "element")
+        a = check_element(a, self.n, "element")
         return self.array[a].tolist().index(self.identity)
 
     def element_order(self, g: int) -> int:
-        check_element(g, self.n, "element")
+        g = check_element(g, self.n, "element")
         times_g = self.array[:, g].tolist()
         k, x = 1, g
         while x != self.identity:
@@ -434,12 +436,12 @@ class GroupKind:
         if self.factors:
             raise InputError(f"{self.family} takes no factors, got {self.factors[0]}")
         token, (name, least) = _FAMILIES[self.family][:2]
-        check_integer(self.param, name)
-        if self.param < least:
-            raise InputError(f"{name} must be >= {least}, got {self.param}")
-        if self.param and "{}" not in token:
-            raise InputError(f"{self.family} takes no param, got {self.param}")
-        object.__setattr__(self, "param", int(self.param))
+        param = check_integer(self.param, name)
+        if param < least:
+            raise InputError(f"{name} must be >= {least}, got {param}")
+        if param and "{}" not in token:
+            raise InputError(f"{self.family} takes no param, got {param}")
+        object.__setattr__(self, "param", param)
 
     @staticmethod
     def cyclic(n: int) -> "GroupKind":
@@ -512,14 +514,15 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
     finv = img.argsort()
     # img[t.array[finv[:, None], finv]], with the inner gather built faster by takes.
     arr = img[t.array.take(finv, 0).take(finv, 1)]
-    return GroupTable._from_array(arr, identity=f.image[t.identity])
+    return GroupTable._from_array(arr, identity=img.item(t.identity))
 
 
 def power(t: GroupTable, g: int, k: int) -> int:
     """g composed with itself k times; the identity for k = 0."""
-    check_element(g, t.n, "element")
-    if not isinstance(k, INTEGER_TYPES) or k < 0:
-        raise InputError(f"exponent must be an integer >= 0, got {k!r}")
+    g = check_element(g, t.n, "element")
+    k = check_integer(k, "exponent")
+    if k < 0:
+        raise InputError(f"exponent must be >= 0, got {k}")
     times_g = t.array[:, g].tolist()
     x = t.identity
     for _ in range(k):
@@ -652,7 +655,7 @@ MAX_BRUTE_ORDER = max(_CATALOG)
 
 def groups_of_order(n: int) -> list[GroupKind]:
     """All isomorphism classes of order n, for n <= MAX_BRUTE_ORDER."""
-    check_integer(n, "order")
+    n = check_integer(n, "order")
     if n < 1:
         raise InputError(f"order must be >= 1, got {n}")
     if n not in _CATALOG:

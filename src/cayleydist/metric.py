@@ -287,7 +287,7 @@ def analytic_lower_bound(p: int, m: int) -> BoundReport:
     """
     if not is_prime(p) or p <= 7:
         raise NotPrime(f"need a prime greater than 7, got {p}")
-    check_integer(m, "m =")
+    p, m = int(p), check_integer(m, "m =")
     if m < 3:
         raise MTooSmall(f"m = {m} cannot occur (rows differ in 0 or >= 3 places)")
     if m > p - 1:

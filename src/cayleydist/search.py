@@ -13,7 +13,7 @@ scored pattern carries a weight, the number of family members it stands
 for, so the reported counts are those of the whole family.  x -> hx is an
 automorphism of Z_p that carries row 1's search to the row of h, so a
 search over several rows scores row 1's patterns once and counts them once
-per row.
+per row; the witness is always row 1's.
 """
 
 from __future__ import annotations
@@ -35,17 +35,16 @@ from .errors import (
     UnsupportedM,
 )
 from .group_core import (
-    INTEGER_TYPES,
     MAX_BRUTE_ORDER,
     GroupKind,
     GroupTable,
     Permutation,
     automorphisms,
+    check_element,
     check_integer,
     groups_of_order,
     is_prime,
     make_group,
-    transport,
     validate_table,
 )
 from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
@@ -178,7 +177,7 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
         raise UnsupportedM(f"pattern search supports m in {{{supported}}}, got {m}")
     if not is_prime(p) or p <= 7:
         raise InputError(f"need a prime greater than 7, got {p}")
-    check_integer(h, "row h")
+    h = check_integer(h, "row h")
     if not 1 <= h < p:
         raise InputError(f"row h must be in 1..{p - 1}, got {h}")
     for pos in itertools.combinations(range(1, p), m):
@@ -220,7 +219,8 @@ def complete_from_row(
     p = base.n
     if not is_prime(p):
         raise InputError(f"completion requires prime order, got {p}")
-    if not isinstance(h, INTEGER_TYPES) or not 0 <= h < p or h == base.identity:
+    h = check_element(h, p, "h")
+    if h == base.identity:
         raise InputError(f"h must be a non-identity element of 0..{p - 1}, got {h}")
     if modified_row.n != p:
         raise InputError(f"row size {modified_row.n} != order {p}")
@@ -337,8 +337,8 @@ def _phi_distances(
     return (mismatches(*diag) + 2 * mismatches(*upper)).astype(np.intp)
 
 
-def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
-    """Search every pattern of every row in rows by completing and scoring
+def _search_m(p: int, m: int, rows: int) -> MCase:
+    """Search every pattern of the rows h = 1..rows by completing and scoring
     row 1's patterns of nonzero weight (one of each reflection pair) once,
     in enumeration order and in blocks of at most _BLOCK scored patterns.
 
@@ -346,12 +346,12 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
     when pattern j on row 1 does, with phi_h = h phi_1, at the same
     distance.  So each row adds row 1's counts, and the counts are those of
     the whole family: a completing pattern counts its weight once per row.
-    Rows come in order, so the first minimizer lies in rows[0], at row 1's
-    first minimizer.  A partner is always later than the pattern scored
-    for it, and blocks come in order, so only a strictly smaller distance
-    replaces the first minimizer."""
+    Rows come in order, so the first minimizer is row 1's first minimizer.
+    A partner is always later than the pattern scored for it, and blocks
+    come in order, so only a strictly smaller distance replaces the first
+    minimizer."""
     positions, sources, weights = _pattern_table(p, m)
-    enumerated = len(positions) * len(rows)
+    enumerated = len(positions) * rows
     scored = np.flatnonzero(weights)
     positions, sources, weights = positions[scored], sources[scored], weights[scored]
     cells = _distance_cells(p)
@@ -368,11 +368,11 @@ def _search_m(p: int, m: int, rows: Sequence[int]) -> MCase:
             j = start + int(np.flatnonzero(ok)[k])
             nxt = REARRANGEMENTS[m][scored[j] % len(REARRANGEMENTS[m])]
             min_distance = int(dvals[k])
-            witness = _pattern(p, rows[0], tuple(positions[j].tolist()), nxt)
+            witness = _pattern(p, 1, tuple(positions[j].tolist()), nxt)
     return MCase(
         m=m,
         candidates_enumerated=enumerated,
-        candidates_completing=completing * len(rows),
+        candidates_completing=completing * rows,
         min_distance=min_distance,
         witness=witness,
     )
@@ -383,15 +383,16 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     single-row pattern not excluded by the analytic bounds; an open m with
     no pattern search is reported as not excluded, which fails the verdict.
 
-    By default only the row h = 1 is modified; all_rows reports every row
-    h = 1..p-1 at the cost of the fixed row (see _search_m).
+    Only the row h = 1 is modified.  all_rows, which only the benchmark
+    workloads still pass, multiplies its counts by p - 1 (see _search_m).
     """
     if not is_prime(p) or not 7 < p <= 31:
         raise OutOfVerifiedRange(
             f"search regime is primes 7 < p <= 31 (analytic bounds take over "
             f"above 31), got {p}"
         )
-    rows = list(range(1, p)) if all_rows else [1]
+    p = int(p)
+    rows = p - 1 if all_rows else 1
     m_cases: list[MCase] = []
     exclusions: list[BoundReport] = []
     # m = 6 stands for every m >= 6: all bounds grow with m, and the row

@@ -362,6 +362,15 @@ class TestBasicCommands:
         code, _, err = run(capsys, "mf", z7_file)
         assert code == 2 and "perm" in err
 
+    @pytest.mark.parametrize("command", ["mf", "transport"])
+    def test_perm_and_cycles_exclusive(self, capsys, z7_file, command):
+        # each alone names the permutation; given both, neither is dropped
+        code, out, err = run(
+            capsys, command, z7_file, "--perm", "0 1 2 3 4 5 6", "--cycles", "(1 2)"
+        )
+        assert code == 2 and out == ""
+        assert "argument --cycles: not allowed with argument --perm" in err
+
     def test_min_transposition(self, capsys, z7_file):
         code, out, _ = run(capsys, "min-transposition", z7_file, "--json")
         doc = json.loads(out)
@@ -526,17 +535,16 @@ class TestVerifyAndOracle:
         assert doc["result"]["delta"] == 48
         assert doc["result"]["theorem_confirmed"] is True
 
+    # "p-False" ids, from the (p, all_rows) form, keep each case's name in
+    # test histories.
     @pytest.mark.parametrize(
-        "p,all_rows",
-        [(p, False) for p in (11, 13, 17, 19, 23, 29, 31)] + [(11, True), (13, True)],
+        "p", [11, 13, 17, 19, 23, 29, 31], ids=lambda p: f"{p}-False"
     )
-    def test_verify_json_pinned(self, capsys, p, all_rows):
+    def test_verify_json_pinned(self, capsys, p):
         # verify --json output pinned byte for byte, apart from runtime_ms
-        argv = ["verify", "--prime", str(p), "--json"] + (["--all-rows"] if all_rows else [])
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "verify", "--prime", str(p), "--json")
         assert code == 0 and err == ""
-        name = f"verify_p{p}{'_all_rows' if all_rows else ''}.json"
-        expected = (Path(__file__).parent / "golden" / name).read_text()
+        expected = (Path(__file__).parent / "golden" / f"verify_p{p}.json").read_text()
         strip = lambda text: [ln for ln in text.splitlines() if '"runtime_ms"' not in ln]
         assert strip(out) == strip(expected)
 
@@ -572,6 +580,10 @@ class TestVerifyAndOracle:
 
     def test_oracle_rejects_allow_slow_flag(self, capsys):
         code, _, err = run(capsys, "oracle", "--order", "8", "--allow-slow")
+        assert code == 2 and "unrecognized arguments" in err
+
+    def test_verify_rejects_all_rows_flag(self, capsys):
+        code, _, err = run(capsys, "verify", "--prime", "11", "--all-rows")
         assert code == 2 and "unrecognized arguments" in err
 
     def test_json_stable_across_runs(self, capsys, z7_file, z7f_file):
