@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Run the full prime-stability verification sweep (11 <= p <= 31).
+"""Run the prime-stability verification sweep (11 <= p <= 37), then
+cross-check the analytic exclusions above 31 from the other side.
 
-Prints one summary line per prime.  For a prime's JSON report, run
-`cayleydist verify --prime P --json FILE`.
+Prints one summary line per prime.  From p = 37 up the bounds exclude
+every m, so verify searches nothing there; the cross-check runs the
+fixed-row pattern search for m = 3 and 4 at p = 37 ... 61 anyway and prints
+each minimum and its margin over 6p - 18.  It stays outside the verdict.
+For a prime's JSON report, run `cayleydist verify --prime P --json FILE`.
 """
 
 import argparse
 import time
 
 from cayleydist import prime_stability_verify
+from cayleydist.search import _search_m
 
-PRIMES = (11, 13, 17, 19, 23, 29, 31)
+PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
+CROSS_CHECK_PRIMES = (37, 41, 43, 47, 53, 59, 61)
 
 
 def main() -> int:
@@ -37,7 +43,19 @@ def main() -> int:
             f"{'OK' if ok else 'FAILED'}  ({elapsed:.2f}s)"
         )
 
-    print("conclusion:", "delta = 6p-18 confirmed for all searched primes" if all_ok else "FAILURE")
+    print("conclusion:", "delta = 6p-18 confirmed for every prime of the sweep" if all_ok else "FAILURE")
+
+    print("cross-check, searching what the bounds exclude (not part of the verdict):")
+    for p in CROSS_CHECK_PRIMES:
+        for m in (3, 4):
+            start = time.perf_counter()
+            case = _search_m(p, m, 1)
+            elapsed = time.perf_counter() - start
+            print(
+                f"p={p:2d}  m={m}: {case.candidates_enumerated} patterns, "
+                f"min {case.min_distance}, margin {case.min_distance - (6 * p - 18)}  "
+                f"({elapsed:.2f}s)"
+            )
     return 0 if all_ok else 1
 
 

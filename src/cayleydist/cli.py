@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -351,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table_b")
     p.set_defaults(func=_cmd_check_lemmas)
 
-    p = sub.add_parser("verify", help="exhaustive stability verification for a prime")
+    p = sub.add_parser(
+        "verify", help="verify delta(Z_p) = 6p - 18 for a prime p > 7 (bounds plus search)"
+    )
     p.add_argument("--prime", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -373,13 +376,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     start = time.perf_counter()
+    result: Optional[CommandResult] = None
     try:
-        result: CommandResult = args.func(args)
+        result = args.func(args)
         result.runtime_ms = int((time.perf_counter() - start) * 1000)
         if args.json is not None:
             _write_or_print(result.to_json() + "\n", None if args.json == "-" else args.json)
         if result.text and args.json != "-":
             print(result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout left early, as `| head` does.  Only output
+        # raises this, after make and transport have built their table, so
+        # the status is the command's own.  stdout goes to devnull so that
+        # the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return result.exit_code if result is not None else 0
     except ViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

@@ -63,10 +63,6 @@ class NotPCycle(InputError):
     """A modified row is not a single p-cycle; the candidate is rejected."""
 
 
-class OutOfVerifiedRange(InputError):
-    pass
-
-
 class NuUndefinedForPrime(InputError):
     pass
 

@@ -67,15 +67,18 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on {0, ..., n-1}, stored as its image tuple."""
+    """A bijection on {0, ..., n-1}, stored as its image tuple of Python
+    ints: bool and numpy integer entries are read as the ints they stand for."""
 
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.image)
-        if not all(map(isinstance, self.image, itertools.repeat(INTEGER_TYPES))):
-            for v in self.image:
-                check_element(v, n, "image entry", InvalidPermutation)
+        if not set(map(type, self.image)) <= {int}:
+            image = tuple(
+                check_element(v, n, "image entry", InvalidPermutation) for v in self.image
+            )
+            object.__setattr__(self, "image", image)
         if sorted(self.image) != list(range(n)):
             raise InvalidPermutation(f"not a bijection of 0..{n - 1}: {self.image}")
 

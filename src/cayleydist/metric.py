@@ -273,6 +273,14 @@ class BoundReport:
         }
 
 
+def check_prime_above_7(p: object) -> int:
+    """p as a Python int, or raise NotPrime unless p is a prime greater than
+    7, the primes for which delta(Z_p) = 6p - 18 is claimed."""
+    if not is_prime(p) or p <= 7:
+        raise NotPrime(f"need a prime greater than 7, got {p}")
+    return int(p)
+
+
 def analytic_lower_bound(p: int, m: int) -> BoundReport:
     """Aggregate every applicable lower bound on dist for prime order p.
 
@@ -285,9 +293,7 @@ def analytic_lower_bound(p: int, m: int) -> BoundReport:
     cycle, and every other point of each path gives such a Y.  Positions
     1..m show that no larger size is guaranteed.
     """
-    if not is_prime(p) or p <= 7:
-        raise NotPrime(f"need a prime greater than 7, got {p}")
-    p, m = int(p), check_integer(m, "m =")
+    p, m = check_prime_above_7(p), check_integer(m, "m =")
     if m < 3:
         raise MTooSmall(f"m = {m} cannot occur (rows differ in 0 or >= 3 places)")
     if m > p - 1:

@@ -1,7 +1,7 @@
 """Exhaustive verification engines.
 
 Two kinds of machinery live here: the single-row pattern search that pins
-down the stability of prime-order cyclic groups at 11 <= p <= 31, and the
+down the stability of prime-order cyclic groups at every prime p > 7, and the
 small-order brute-force oracle that enumerates every group table on
 {0..n-1} by transporting each catalog group G through one permutation per
 coset of Aut(G).
@@ -26,14 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    NotPCycle,
-    NuUndefinedForPrime,
-    OrderTooLarge,
-    OutOfVerifiedRange,
-    UnsupportedM,
-)
+from .errors import InputError, NotPCycle, NuUndefinedForPrime, OrderTooLarge, UnsupportedM
 from .group_core import (
     MAX_BRUTE_ORDER,
     GroupKind,
@@ -47,7 +40,7 @@ from .group_core import (
     make_group,
     validate_table,
 )
-from .metric import BoundReport, analytic_lower_bound, min_transposition_mf
+from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_transposition_mf
 
 # Patterns per block of the array search.  Bounds its working memory, the
 # (p(p-1)/2, block) arrays of the distance kernel, to a few MiB at p = 31.
@@ -175,8 +168,7 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
     if m not in REARRANGEMENTS:
         supported = ", ".join(map(str, sorted(REARRANGEMENTS)))
         raise UnsupportedM(f"pattern search supports m in {{{supported}}}, got {m}")
-    if not is_prime(p) or p <= 7:
-        raise InputError(f"need a prime greater than 7, got {p}")
+    p = check_prime_above_7(p)
     h = check_integer(h, "row h")
     if not 1 <= h < p:
         raise InputError(f"row h must be in 1..{p - 1}, got {h}")
@@ -321,18 +313,18 @@ def _phi_distances(
     (phi(0) = 0), so only the cells of _distance_cells(p) are checked, and
     a pair x < y counts for two cells.  Each cell gathers whole rows of
     phi, so the working arrays are (cells, B) and the count of a pattern
-    is a sum down its column.
+    is a sum down its column.  The uint8 and uint16 arithmetic is exact for
+    p <= 127: 2(p - 1) <= 255, 257 - p > p, and p(p - 1) < 2**16.
     """
 
     def mismatches(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
         t = phi.take(x, 0)
-        t += phi.take(y, 0)  # < 2p <= 62, so uint8 cannot wrap up
+        t += phi.take(y, 0)  # at most 2(p - 1), so uint8 cannot wrap up
         t -= phi.take(xy, 0)  # a cell that agrees leaves 0 or p; one below
         # 0 wraps to at least 257 - p > p, so it still counts as a mismatch
         bad = (t != 0) & (t != p)
         return bad.view(np.uint8).sum(axis=0, dtype=np.uint16)
 
-    # At most p(p - 1) <= 930 cells at p <= 31, so the counts fit in uint16.
     diag, upper = cells
     return (mismatches(*diag) + 2 * mismatches(*upper)).astype(np.intp)
 
@@ -379,19 +371,16 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
 
 
 def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport:
-    """Verify stability 6p-18 for a prime 7 < p <= 31 by exhausting every
+    """Verify stability 6p-18 for a prime p > 7 by exhausting every
     single-row pattern not excluded by the analytic bounds; an open m with
     no pattern search is reported as not excluded, which fails the verdict.
+    From p = 37 up the bounds exclude every m, so nothing is searched and
+    delta is the transposition minimum.
 
     Only the row h = 1 is modified.  all_rows, which only the benchmark
     workloads still pass, multiplies its counts by p - 1 (see _search_m).
     """
-    if not is_prime(p) or not 7 < p <= 31:
-        raise OutOfVerifiedRange(
-            f"search regime is primes 7 < p <= 31 (analytic bounds take over "
-            f"above 31), got {p}"
-        )
-    p = int(p)
+    p = check_prime_above_7(p)
     rows = p - 1 if all_rows else 1
     m_cases: list[MCase] = []
     exclusions: list[BoundReport] = []

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -505,6 +508,22 @@ class TestMakeTransportRoundTrip:
         code, _, err = run(capsys, "make", "--kind", "monster:1")
         assert code == 2
 
+    def test_make_into_closed_pipe(self):
+        # the Z_300 table outgrows a pipe buffer, so the write always meets
+        # the closed read end: the command ends quietly with its own status
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cayleydist.cli", "make", "--kind", "cyclic:300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+
 
 class TestReconstructAndLemmas:
     def test_reconstruct(self, capsys, tmp_path):
@@ -538,7 +557,7 @@ class TestVerifyAndOracle:
     # "p-False" ids, from the (p, all_rows) form, keep each case's name in
     # test histories.
     @pytest.mark.parametrize(
-        "p", [11, 13, 17, 19, 23, 29, 31], ids=lambda p: f"{p}-False"
+        "p", [11, 13, 17, 19, 23, 29, 31, 37], ids=lambda p: f"{p}-False"
     )
     def test_verify_json_pinned(self, capsys, p):
         # verify --json output pinned byte for byte, apart from runtime_ms
@@ -555,8 +574,11 @@ class TestVerifyAndOracle:
         assert "NOT CONFIRMED" in out
 
     def test_verify_out_of_range(self, capsys):
-        code, _, err = run(capsys, "verify", "--prime", "37")
-        assert code == 2 and "31" in err
+        code, out, _ = run(capsys, "verify", "--prime", "37", "--json")
+        assert code == 0 and json.loads(out)["result"]["m_cases"] == []
+        for p in ("7", "9"):
+            code, _, err = run(capsys, "verify", "--prime", p)
+            assert code == 2 and "need a prime greater than 7" in err
 
     def test_verify_json_stable_across_runs(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

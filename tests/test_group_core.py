@@ -923,6 +923,10 @@ _ROW_ONE_CALLS = {
     "complete_from_row": lambda t: cd.complete_from_row(
         cyclic(11), t(1), cd.Permutation(cyclic(11).cells[1])
     ).cells,
+    "permutation_call": lambda t: cd.Permutation((t(1), t(0)))(0),
+    "permutation_compose": lambda t: cd.Permutation((t(1), t(0))).compose(
+        cd.Permutation((t(1), t(0)))
+    ).image,
 }
 _PRIME_CALLS = {
     "prime_stability_verify": lambda t: cd.prime_stability_verify(t(11)).to_dict(),

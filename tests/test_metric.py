@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -370,6 +371,32 @@ class TestAnalyticBounds:
                 rep = cd.analytic_lower_bound(p, m)
                 assert rep.best == max(v for _, v in rep.bounds)
                 assert rep.excluded == (rep.best >= 6 * p - 18)
+
+    @pytest.mark.parametrize("r", [1, 5, 7, 11])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_bounds_exclude_every_m_above_31(self, m, r):
+        # The proof that verify needs no search from p = 37 up.  On the
+        # primes p = r mod 12, ceil(p/4) = (p + a)/4 and ceil(p/3) = (p + b)/3,
+        # so D(p) = disjoint_pairs_quarter_l{l} - (6p - 18) is a quadratic
+        # c2 p^2 + c1 p + c0.  With c2 > 0, its vertex at or below p0,
+        # D(p0) >= 0 and ceil(p0/4) - 2l >= 0, the bound applies and reaches
+        # 6p - 18 at every p >= p0 in the class.  The row floor m(p - 1)
+        # already does for m >= 6.
+        l = (m + 1) // 2
+        a, b = -r % 4, -r % 3
+        q4, q3 = (Fraction(a, 4), Fraction(1, 4)), (Fraction(b, 3), Fraction(1, 3))
+        # l(p - m) + (q4 - 2l) q3 + (p - q4 - 1) m - (6p - 18), q = (constant, slope)
+        c2 = q4[1] * q3[1]
+        c1 = l + (q4[0] - 2 * l) * q3[1] + q4[1] * q3[0] + (1 - q4[1]) * m - 6
+        c0 = -l * m + (q4[0] - 2 * l) * q3[0] - (q4[0] + 1) * m + 18
+        D = lambda p: c2 * p * p + c1 * p + c0
+        p0 = next(p for p in itertools.count(37) if p % 12 == r)
+        assert c2 > 0 and -c1 / (2 * c2) <= p0 and D(p0) >= 0
+        assert (p0 + a) // 4 - 2 * l >= 0
+        # the algebra is the code's: D is the bound's margin at every prime
+        for p in filter(cd.is_prime, range(p0, 1000, 12)):
+            bounds = dict(cd.analytic_lower_bound(p, m).bounds)
+            assert bounds[f"disjoint_pairs_quarter_l{l}"] - (6 * p - 18) == D(p)
 
     def test_errors(self):
         with pytest.raises(NotPrime):

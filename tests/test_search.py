@@ -14,9 +14,9 @@ from cayleydist import search
 from cayleydist.errors import (
     InputError,
     NotPCycle,
+    NotPrime,
     NuUndefinedForPrime,
     OrderTooLarge,
-    OutOfVerifiedRange,
     UnsupportedM,
 )
 from cayleydist.search import (
@@ -450,9 +450,17 @@ class TestPrimeStabilityVerify:
             assert (case.min_distance, case.witness) == best
 
     def test_out_of_range(self):
-        for p in (7, 37, 9, 2, 11.0):
-            with pytest.raises(OutOfVerifiedRange, match=f"got {re.escape(str(p))}$"):
+        for p in (7, 9, 2, 11.0):
+            with pytest.raises(NotPrime, match=f"got {re.escape(str(p))}$"):
                 cd.prime_stability_verify(p)
+
+    def test_bounds_alone_above_31(self):
+        # the bounds exclude every m from p = 37 up (test_metric proves it
+        # per residue class mod 12), so the verdict searches nothing
+        for p in filter(cd.is_prime, range(37, 128)):
+            report = cd.prime_stability_verify(p)
+            assert report.theorem_confirmed() and report.delta == 6 * p - 18
+            assert report.m_cases == ()
 
     def test_report_json_roundtrip(self):
         import json
