@@ -5,7 +5,9 @@ cross-check the analytic exclusions above 31 from the other side.
 Prints one summary line per prime.  From p = 37 up the bounds exclude
 every m, so verify searches nothing there; the cross-check runs the
 fixed-row pattern search for m = 3 and 4 at p = 37 ... 61 anyway and prints
-each minimum and its margin over 6p - 18.  It stays outside the verdict.
+each minimum and its margin over 6p - 18.  It stays outside the verdict,
+but a minimum below 6p - 18 would contradict the bounds, so it makes the
+script exit 1 as well.
 For a prime's JSON report, run `cayleydist verify --prime P --json FILE`.
 """
 
@@ -46,17 +48,22 @@ def main() -> int:
     print("conclusion:", "delta = 6p-18 confirmed for every prime of the sweep" if all_ok else "FAILURE")
 
     print("cross-check, searching what the bounds exclude (not part of the verdict):")
+    bounds_hold = True
     for p in CROSS_CHECK_PRIMES:
         for m in (3, 4):
             start = time.perf_counter()
             case = _search_m(p, m, 1)
             elapsed = time.perf_counter() - start
+            margin = case.min_distance - (6 * p - 18)
+            bounds_hold &= margin >= 0
             print(
                 f"p={p:2d}  m={m}: {case.candidates_enumerated} patterns, "
-                f"min {case.min_distance}, margin {case.min_distance - (6 * p - 18)}  "
+                f"min {case.min_distance}, margin {margin}  "
                 f"({elapsed:.2f}s)"
             )
-    return 0 if all_ok else 1
+    if not bounds_hold:
+        print("cross-check: FAILURE, a minimum below 6p-18 contradicts the bounds")
+    return 0 if all_ok and bounds_hold else 1
 
 
 if __name__ == "__main__":

@@ -238,7 +238,8 @@ def _cmd_check_lemmas(args) -> CommandResult:
 
 def _cmd_verify(args) -> CommandResult:
     report = prime_stability_verify(args.prime)
-    lines = [f"stability verification for p={args.prime} ({report.rows_searched}):"]
+    rows = "no row searched" if report.rows_searched == "none" else report.rows_searched
+    lines = [f"stability verification for p={args.prime} ({rows}):"]
     for case in report.m_cases:
         lines.append(
             f"  m={case.m}: {case.candidates_enumerated} candidates, "

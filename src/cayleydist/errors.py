@@ -60,7 +60,10 @@ class UnsupportedM(InputError):
 
 
 class NotPCycle(InputError):
-    """A modified row is not a single p-cycle; the candidate is rejected."""
+    """A modified row is not a single p-cycle; the candidate is rejected.
+
+    Only the slow complete_from_row raises it: the pattern search decides
+    completion by search._piece_order and rejects nothing."""
 
 
 class NuUndefinedForPrime(InputError):

@@ -6,14 +6,14 @@ small-order brute-force oracle that enumerates every group table on
 {0..n-1} by transporting each catalog group G through one permutation per
 coset of Aut(G).
 
-The pattern search scores one pattern of each reflection pair: x -> -x is
-an automorphism of Z_p that maps a pattern to a partner at the reflected
-positions, which completes with it and lies at the same distance.  Each
-scored pattern carries a weight, the number of family members it stands
-for, so the reported counts are those of the whole family.  x -> hx is an
-automorphism of Z_p that carries row 1's search to the row of h, so a
-search over several rows scores row 1's patterns once and counts them once
-per row; the witness is always row 1's.
+Whether a pattern completes to a group depends on its rearrangement
+alone (see _piece_order), so the search counts the family by formula and
+scores only the completing rearrangements.  It scores one pattern of each
+reflection pair: x -> -x is an automorphism of Z_p that maps a pattern to
+a partner at the reflected positions, which completes with it and lies at
+the same distance.  x -> hx is an automorphism of Z_p that carries row 1's
+search to the row of h, so a search over several rows scores row 1's
+patterns once and counts them once per row; the witness is always row 1's.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from .group_core import (
 )
 from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_transposition_mf
 
-# Patterns per block of the array search.  Bounds its working memory, the
-# (p(p-1)/2, block) arrays of the distance kernel, to a few MiB at p = 31.
-_BLOCK = 2048
+# Position tuples per block of the array search.  Bounds its working
+# memory, the (p(p-1)/2, block) arrays of the distance kernel for each
+# completing rearrangement, to about 1.3 MiB at p = 31 (traced).
+_BLOCK = 1024
 
 # Coset representatives per block of all_group_tables.  Bounds its
 # temporaries, the (block, n*n) tables, gather index and mismatch mask, to
@@ -138,10 +139,12 @@ class VerificationReport:
 # The rearrangements tried at each m, as "next slot" rows: slot j of the
 # position tuple takes the row value found at slot nxt[j].  Their order is
 # the enumeration order within one position tuple.  m = 3 gets both
-# 3-cycles (the single-picture reading is unproved, so the superset is
-# enumerated); m = 4 gets the forced double transposition (i0 i2)(i1 i3).
-# Each row equals its own reflection rho nxt^-1 rho, rho(k) = m-1-k, which
-# _pattern_table's weights rely on.
+# 3-cycles: (1, 2, 0) completes at every position tuple and (2, 0, 1) at
+# none (see _piece_order), and the second stays so that
+# candidates_enumerated keeps counting the superset.  m = 4 gets the forced
+# double transposition (i0 i2)(i1 i3), which always completes.  Each row
+# equals its own reflection rho nxt^-1 rho, rho(k) = m-1-k, which
+# _pattern_table's reflection quotient relies on.
 REARRANGEMENTS: dict[int, tuple[tuple[int, ...], ...]] = {
     3: ((1, 2, 0), (2, 0, 1)),
     4: ((2, 3, 0, 1),),
@@ -163,7 +166,8 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
 
     This is the readable reference for the order and the content of the
     family; prime_stability_verify counts every one of these patterns but
-    scores only the first of each reflection pair (see _pattern_table).
+    scores only the completing ones, and of those only the first of each
+    reflection pair (see _search_m).
     """
     if m not in REARRANGEMENTS:
         supported = ", ".join(map(str, sorted(REARRANGEMENTS)))
@@ -238,59 +242,78 @@ def complete_from_row(
     return validate_table([list(r) for r in cells if r is not None])
 
 
-def _pattern_table(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pattern of one row as two (N, m) exponent arrays, in
-    enumerate_patterns order: the positions, and for each position the
-    position whose row value it takes; and each pattern's (N,) weight.
+def _pattern_table(p: int, m: int) -> np.ndarray:
+    """The row-1 position tuples that the search scores, one of each
+    reflection pair, as an (N, m) uint8 exponent array in lexicographic
+    order.
 
     x -> -x maps the row-1 pattern sigma at positions P = (i0, ..., i_{m-1})
     to N sigma^-1 N, which moves the reflected positions
     (p-1-i_{m-1}, ..., p-1-i0) by the same rearrangement, since
     rho nxt^-1 rho = nxt for each row of REARRANGEMENTS with
     rho(k) = m-1-k.  Its completion is k -> -phi(-k), so it completes with
-    sigma, at the same distance.  When p-1 is in P the partner moves
-    position 0 and is no pattern, so the weight is 1.  Otherwise the
-    lexicographically smaller position tuple, which comes first, stands for
-    both with weight 2, a self-reflected one has weight 1, and the later
-    one weight 0.  Scaling by h carries this to every row.
+    sigma, at the same distance.  So a tuple is kept unless its reflection
+    is a lexicographically smaller tuple, which comes first and is scored
+    for both.  When p-1 is in P the partner moves position 0 and is no
+    pattern, so P is kept.  Scaling by h carries this to every row.
     """
     count = math.comb(p - 1, m)
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
-    combos = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
+    combos = np.fromiter(flat, dtype=np.uint8, count=count * m).reshape(count, m)
     mirror = p - 1 - combos[:, ::-1]
-    differ = mirror != combos
-    first = differ.argmax(axis=1)
+    first = (mirror != combos).argmax(axis=1)
     rows = np.arange(count)
-    later = mirror[rows, first] > combos[rows, first]
-    weights = np.where(differ.any(axis=1), 2 * later, 1)
-    weights[combos[:, -1] == p - 1] = 1
-    nxt = np.array(REARRANGEMENTS[m], dtype=np.intp)
-    positions = np.repeat(combos, len(nxt), axis=0)
-    sources = combos[:, nxt].reshape(-1, m)
-    return positions, sources, np.repeat(weights, len(nxt))
+    keep = (mirror[rows, first] >= combos[rows, first]) | (combos[:, -1] == p - 1)
+    return combos[keep]
 
 
-def _complete_block(
-    p: int, h: int, positions: np.ndarray, sources: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi and the p-cycle mask for a block of B patterns over the
-    canonical Z_p, each modifying the row of h: phi is (p, B) uint8 with
-    phi[k, j] the image of k under pattern j, and ok is (B,) bool.
+def _piece_order(nxt: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The order in which sigma^k(0) visits the pieces of Z_p for a row-1
+    pattern with the next-slot row nxt, or None if sigma is not a single
+    p-cycle.
 
-    The row of h maps x to x + h; the element at exponent i is i*h, so the
-    pattern writes (source + 1)*h at column position*h.  phi(k) is
-    sigma^k(0); sigma is a single p-cycle iff no phi(k), 0 < k < p, is 0,
-    and then the completed table is the transport of Z_p by phi.
+    Cut Z_p after each position i0 < ... < i_{m-1}: piece 0 is 0..i0,
+    piece j is i_{j-1}+1..i_j, and piece m is i_{m-1}+1..p-1, empty when
+    i_{m-1} = p-1.  sigma(x) = x + 1 off the positions, so sigma walks each
+    piece upward and leaves the end p-1 of piece m for 0, the start of
+    piece 0.  sigma(i_j) = i_{nxt[j]} + 1 jumps from the end of piece j to
+    the start of piece nxt[j] + 1, or to 0 when that is an empty piece m.
+    So the orbit of 0 runs through whole pieces in the order of the jump
+    map J(j) = nxt[j] + 1, J(m) = 0, an empty piece m passing straight on
+    to piece 0.  J is a bijection of 0..m, so the orbit returns to piece 0,
+    and it covers Z_p, that is sigma is a p-cycle, exactly when it visits
+    all m + 1 pieces: pieces 0..m-1 are nonempty, and an empty piece m is
+    J of a piece the orbit visits.  This depends on nxt alone, not on the
+    positions or on p.
     """
-    b = len(positions)
-    sigma = np.tile(((np.arange(p) + h) % p).astype(np.uint8), (b, 1))
-    sigma[np.arange(b)[:, None], positions * h % p] = (sources + 1) * h % p
-    flat = sigma.ravel()
-    offsets = np.arange(b) * p
-    walk = np.zeros((p, b), dtype=np.uint8)  # walk[k] = sigma^k(0)
-    for k in range(1, p):
-        walk[k] = flat[offsets + walk[k - 1]]
-    return walk, (walk[1:] != 0).all(axis=0)
+    jump = [r + 1 for r in nxt] + [0]
+    order = [0]
+    while jump[order[-1]] != 0:
+        order.append(jump[order[-1]])
+    return tuple(order) if len(order) == len(jump) else None
+
+
+def _phi_block(p: int, positions: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """phi(k) = sigma^k(0) for a block of B row-1 patterns over the
+    canonical Z_p, as a (p, B) uint8 array: positions is their (B, m)
+    uint8 exponent array, and order the _piece_order of their
+    rearrangement, which completes.  The completed table is the transport
+    of Z_p by phi.
+
+    phi lists the pieces in visit order, each as a run of consecutive
+    values, so phi(k) = k + shift, where the shift of a piece is its first
+    value less the number of values listed before it.  The arithmetic is
+    uint8: a shift wraps mod 256, and phi(k) < p lands back in range.
+    """
+    b, m = positions.shape
+    bounds = np.zeros((b, m + 2), dtype=np.uint8)  # piece j is bounds[j]..bounds[j+1]-1
+    bounds[:, 1:-1] = positions + 1
+    bounds[:, -1] = p
+    lengths = np.diff(bounds, axis=1)[:, order]
+    shifts = bounds[:, order] - (np.cumsum(lengths, axis=1, dtype=np.uint8) - lengths)
+    phi = np.repeat(shifts.ravel(), lengths.ravel()).reshape(b, p)
+    phi += np.arange(p, dtype=np.uint8)
+    return np.ascontiguousarray(phi.T)
 
 
 def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -330,41 +353,40 @@ def _phi_distances(
 
 
 def _search_m(p: int, m: int, rows: int) -> MCase:
-    """Search every pattern of the rows h = 1..rows by completing and scoring
-    row 1's patterns of nonzero weight (one of each reflection pair) once,
-    in enumeration order and in blocks of at most _BLOCK scored patterns.
+    """Search every pattern of the rows h = 1..rows by scoring each
+    completing rearrangement at row 1's kept position tuples (one of each
+    reflection pair) once, in enumeration order and in blocks of at most
+    _BLOCK tuples.
 
-    x -> hx is an automorphism of Z_p: pattern j on row h completes exactly
-    when pattern j on row 1 does, with phi_h = h phi_1, at the same
-    distance.  So each row adds row 1's counts, and the counts are those of
-    the whole family: a completing pattern counts its weight once per row.
+    Whether a pattern completes depends on its rearrangement alone (see
+    _piece_order), so C(p-1, m) patterns of each row complete per
+    completing rearrangement.  x -> hx is an automorphism of Z_p: pattern j
+    on row h completes exactly when pattern j on row 1 does, with
+    phi_h = h phi_1, at the same distance.  So each row adds row 1's counts.
     Rows come in order, so the first minimizer is row 1's first minimizer.
-    A partner is always later than the pattern scored for it, and blocks
-    come in order, so only a strictly smaller distance replaces the first
+    A partner is always later than the tuple scored for it, and blocks come
+    in order, so only a strictly smaller distance replaces the first
     minimizer."""
-    positions, sources, weights = _pattern_table(p, m)
-    enumerated = len(positions) * rows
-    scored = np.flatnonzero(weights)
-    positions, sources, weights = positions[scored], sources[scored], weights[scored]
+    scored = [(nxt, o) for nxt in REARRANGEMENTS[m] if (o := _piece_order(nxt)) is not None]
+    positions = _pattern_table(p, m) if scored else np.zeros((0, m), dtype=np.uint8)
+    per_rearrangement = math.comb(p - 1, m) * rows
     cells = _distance_cells(p)
-    completing = 0
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
     for start in range(0, len(positions), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        phi, ok = _complete_block(p, 1, positions[block], sources[block])
-        dvals = _phi_distances(p, phi[:, ok], cells)
-        completing += int(weights[block][ok].sum())
-        if len(dvals) and (min_distance is None or dvals.min() < min_distance):
-            k = int(np.argmin(dvals))
-            j = start + int(np.flatnonzero(ok)[k])
-            nxt = REARRANGEMENTS[m][scored[j] % len(REARRANGEMENTS[m])]
-            min_distance = int(dvals[k])
-            witness = _pattern(p, 1, tuple(positions[j].tolist()), nxt)
+        block = positions[start : start + _BLOCK]
+        # (tuples, rearrangements): row-major order is enumeration order
+        dvals = np.column_stack(
+            [_phi_distances(p, _phi_block(p, block, order), cells) for _, order in scored]
+        )
+        if min_distance is None or dvals.min() < min_distance:
+            j, r = divmod(int(np.argmin(dvals)), len(scored))
+            min_distance = int(dvals[j, r])
+            witness = _pattern(p, 1, tuple(block[j].tolist()), scored[r][0])
     return MCase(
         m=m,
-        candidates_enumerated=enumerated,
-        candidates_completing=completing * rows,
+        candidates_enumerated=len(REARRANGEMENTS[m]) * per_rearrangement,
+        candidates_completing=len(scored) * per_rearrangement,
         min_distance=min_distance,
         witness=witness,
     )
@@ -397,7 +419,7 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     delta = min([tw_value] + searched)
     return VerificationReport(
         p=p,
-        rows_searched="all rows" if all_rows else "fixed h=1",
+        rows_searched="none" if not m_cases else "all rows" if all_rows else "fixed h=1",
         m_cases=tuple(m_cases),
         analytic_exclusions=tuple(exclusions),
         threshold=6 * p - 18,

@@ -477,27 +477,66 @@ def light_set(a: cd.GroupTable, b: cd.GroupTable) -> list[int]:
     return metric._light_rows(metric._mismatches(a, b)[1]).tolist()
 
 
+def oracle_complete_block(
+    p: int, h: int, positions: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi and the p-cycle mask for a block of B patterns over the
+    canonical Z_p, each modifying the row of h, by walking sigma: phi is
+    (p, B) uint8 with phi[k, j] the image of k under pattern j, and ok is
+    (B,) bool.  positions and sources are (B, m) exponent arrays: slot j
+    of pattern b takes the row value at exponent sources[b, j].
+
+    The row of h maps x to x + h; the element at exponent i is i*h, so the
+    pattern writes (source + 1)*h at column position*h.  phi(k) is
+    sigma^k(0); sigma is a single p-cycle iff no phi(k), 0 < k < p, is 0,
+    and then the completed table is the transport of Z_p by phi.
+    """
+    positions = np.asarray(positions, dtype=np.intp)
+    sources = np.asarray(sources, dtype=np.intp)
+    b = len(positions)
+    sigma = np.tile(((np.arange(p) + h) % p).astype(np.uint8), (b, 1))
+    sigma[np.arange(b)[:, None], positions * h % p] = (sources + 1) * h % p
+    flat = sigma.ravel()
+    offsets = np.arange(b) * p
+    walk = np.zeros((p, b), dtype=np.uint8)  # walk[k] = sigma^k(0)
+    for k in range(1, p):
+        walk[k] = flat[offsets + walk[k - 1]]
+    return walk, (walk[1:] != 0).all(axis=0)
+
+
+def oracle_family(p: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Every pattern of one row in enumerate_patterns order, by
+    itertools: (positions, sources) as (N, m) intp exponent arrays, and
+    each pattern's next-slot row from search.REARRANGEMENTS."""
+    family = [
+        (pos, nxt)
+        for pos in itertools.combinations(range(1, p), m)
+        for nxt in search.REARRANGEMENTS[m]
+    ]
+    positions = np.array([pos for pos, _ in family], dtype=np.intp)
+    sources = np.array([[pos[k] for k in nxt] for pos, nxt in family], dtype=np.intp)
+    return positions, sources, [nxt for _, nxt in family]
+
+
 def oracle_search_m(p: int, m: int, rows) -> search.MCase:
-    """search._search_m without the reflection quotient: every pattern of
-    every row in rows is completed and scored, in enumeration order and in
-    blocks of at most search._BLOCK patterns of one row."""
-    positions, sources, _ = search._pattern_table(p, m)
+    """search._search_m without the reflection quotient or the segment
+    rule: every pattern of every row in rows is walked by
+    oracle_complete_block, and each that completes is scored, in
+    enumeration order."""
+    positions, sources, nxts = oracle_family(p, m)
     cells = search._distance_cells(p)
     completing = 0
     min_distance = None
     witness = None
     for h in rows:
-        for start in range(0, len(positions), search._BLOCK):
-            block = slice(start, start + search._BLOCK)
-            phi, ok = search._complete_block(p, h, positions[block], sources[block])
-            dvals = search._phi_distances(p, phi[:, ok], cells)
-            completing += len(dvals)
-            if len(dvals) and (min_distance is None or dvals.min() < min_distance):
-                k = int(np.argmin(dvals))
-                j = start + int(np.flatnonzero(ok)[k])
-                nxt = search.REARRANGEMENTS[m][j % len(search.REARRANGEMENTS[m])]
-                min_distance = int(dvals[k])
-                witness = search._pattern(p, h, tuple(positions[j].tolist()), nxt)
+        phi, ok = oracle_complete_block(p, h, positions, sources)
+        dvals = search._phi_distances(p, phi[:, ok], cells)
+        completing += len(dvals)
+        if len(dvals) and (min_distance is None or dvals.min() < min_distance):
+            k = int(np.argmin(dvals))
+            j = int(np.flatnonzero(ok)[k])
+            min_distance = int(dvals[k])
+            witness = search._pattern(p, h, tuple(positions[j].tolist()), nxts[j])
     return search.MCase(
         m=m,
         candidates_enumerated=len(positions) * len(rows),

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import os
 import random
@@ -580,6 +582,16 @@ class TestVerifyAndOracle:
             code, _, err = run(capsys, "verify", "--prime", p)
             assert code == 2 and "need a prime greater than 7" in err
 
+    def test_verify_header_names_rows_searched(self, capsys):
+        # from p = 37 up the bounds decide alone, so no row is searched
+        for p, rows in (("11", "fixed h=1"), ("37", "none")):
+            code, out, _ = run(capsys, "verify", "--prime", p, "--json")
+            assert code == 0 and json.loads(out)["result"]["rows_searched"] == rows
+        code, out, _ = run(capsys, "verify", "--prime", "37")
+        assert out.splitlines()[0] == "stability verification for p=37 (no row searched):"
+        code, out, _ = run(capsys, "verify", "--prime", "11")
+        assert out.splitlines()[0] == "stability verification for p=11 (fixed h=1):"
+
     def test_verify_json_stable_across_runs(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "verify", "--prime", "13", "--json", str(p1))
@@ -659,3 +671,26 @@ def test_small_order_survey_pinned(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert exit_info.value.code == 0 and err == ""
     assert out == (root / "golden" / "small_order_survey.txt").read_text()
+
+
+def test_run_verification_fails_on_a_cross_check_below_the_threshold(capsys, monkeypatch):
+    # the cross-check above 31 stays outside the verdict, but a minimum below
+    # 6p - 18 would contradict the bounds, so the script exits 1 on it
+    path = Path(__file__).parent.parent / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", ["run_verification.py"])
+    monkeypatch.setattr(script, "PRIMES", (11,))
+    monkeypatch.setattr(script, "CROSS_CHECK_PRIMES", (37,))
+    assert script.main() == 0
+    real = script._search_m
+
+    def below(p, m, rows):
+        return dataclasses.replace(real(p, m, rows), min_distance=6 * p - 19)
+
+    monkeypatch.setattr(script, "_search_m", below)
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "p=37  m=3: 14280 patterns, min 203, margin -1" in out
+    assert out.splitlines()[-1] == "cross-check: FAILURE, a minimum below 6p-18 contradicts the bounds"

@@ -20,11 +20,12 @@ from cayleydist.errors import (
     UnsupportedM,
 )
 from cayleydist.search import (
-    _complete_block,
     _distance_cells,
     _lex_permutations,
     _pattern_table,
+    _phi_block,
     _phi_distances,
+    _piece_order,
     _search_m,
     all_group_tables,
 )
@@ -34,7 +35,9 @@ from conftest import (
     expanded_tables,
     oracle_all_group_tables,
     oracle_brute_delta_by_kinds,
+    oracle_complete_block,
     oracle_dist,
+    oracle_family,
     oracle_pairwise_delta,
     oracle_search_m,
 )
@@ -49,7 +52,7 @@ def reflected_partners(p: int, m: int) -> list:
     On row 1, sigma moves position i to source + 1; N sigma^-1 N moves
     p - 1 - source to (p - 1 - i) + 1.  The partner is found by its
     (positions, sources) in a dictionary of the whole family."""
-    positions, sources, _ = _pattern_table(p, m)
+    positions, sources, _ = oracle_family(p, m)
     index = {
         (tuple(pos), tuple(src)): j
         for j, (pos, src) in enumerate(zip(positions.tolist(), sources.tolist()))
@@ -60,6 +63,22 @@ def reflected_partners(p: int, m: int) -> list:
         key = tuple(q for q, _ in moved), tuple(s for _, s in moved)
         partners.append(index.get(key))
     return partners
+
+
+def library_phi(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row 1's phi and completion for every pattern of oracle_family(p, m),
+    in its order, as the library decides and builds them: completion by
+    _piece_order and phi by _phi_block.  Returns phi (p, N) uint8, zero in
+    the columns of patterns that do not complete, and ok (N,) bool."""
+    positions, _, nxts = oracle_family(p, m)
+    phi = np.zeros((p, len(nxts)), dtype=np.uint8)
+    ok = np.array([_piece_order(nxt) is not None for nxt in nxts])
+    for nxt in search.REARRANGEMENTS[m]:
+        order = _piece_order(nxt)
+        if order is not None:
+            cols = [j for j, other in enumerate(nxts) if other == nxt]
+            phi[:, cols] = _phi_block(p, positions[cols].astype(np.uint8), order)
+    return phi, ok
 
 
 class TestEnumeratePatterns:
@@ -164,13 +183,16 @@ class TestCompleteFromRow:
         assert checked == 25
 
     def test_fast_path_matches_complete_from_row(self):
-        # every pattern of every row at p = 11, against the slow path
+        # every pattern of every row at p = 11, against the slow path: the
+        # library decides completion by _piece_order and builds row 1's phi
+        # by _phi_block, and x -> hx carries row 1 to row h as h * phi
         z11 = cyclic(11)
         for m in (3, 4):
-            positions, sources, _ = _pattern_table(11, m)
+            phi1, ok = library_phi(11, m)
+            d1 = _phi_distances(11, phi1, _distance_cells(11))
             for h in range(1, 11):
-                phis, ok = _complete_block(11, h, positions, sources)
-                dvals = iter(_phi_distances(11, phis[:, ok], _distance_cells(11)))
+                dvals = iter(d1[ok])
+                phis = phi1.astype(np.intp) * h % 11
                 pats = cd.enumerate_patterns(11, m, h=h)
                 for pat, phi, completes in zip(pats, phis.T, ok, strict=True):
                     sigma = cd.apply_pattern(pat, z11)
@@ -193,10 +215,10 @@ class TestCompleteFromRow:
         # completing patterns of rows 1, 2 and p - 1 against the public kernel
         zp = cyclic(p)
         cells = _distance_cells(p)
-        positions, sources, _ = _pattern_table(p, m)
+        positions, sources, _ = oracle_family(p, m)
         rng = random.Random(p * 10 + m)
         for h in (1, 2, p - 1):
-            phi, ok = _complete_block(p, h, positions, sources)
+            phi, ok = oracle_complete_block(p, h, positions, sources)
             done = phi[:, ok]
             dvals = _phi_distances(p, done, cells)
             assert dvals.dtype == np.intp and dvals.shape == (ok.sum(),)
@@ -205,10 +227,39 @@ class TestCompleteFromRow:
                 assert dvals[k] == cd.hom_distance(f, zp, zp)
 
     def test_distance_kernel_on_no_completing_pattern(self):
-        positions, sources, _ = _pattern_table(11, 3)
-        phi, _ = _complete_block(11, 1, positions, sources)
-        dvals = _phi_distances(11, phi[:, np.zeros(len(positions), dtype=bool)], _distance_cells(11))
+        phi = _phi_block(11, _pattern_table(11, 3)[:0], _piece_order((1, 2, 0)))
+        assert phi.shape == (11, 0)
+        dvals = _phi_distances(11, phi, _distance_cells(11))
         assert dvals.dtype == np.intp and dvals.shape == (0,)
+
+
+class TestSegmentRule:
+    def test_rule_matches_walk(self):
+        # every derangement at m = 2..6 and every position set at p = 11, 13
+        # and 17: _piece_order completes exactly the patterns the walk
+        # completes, and _phi_block builds the walk's phi
+        completing = {}
+        for m in range(2, 7):
+            derangements = [
+                r for r in itertools.permutations(range(m)) if all(r[j] != j for j in range(m))
+            ]
+            completing[m] = sum(_piece_order(r) is not None for r in derangements)
+            for p in (11, 13, 17):
+                positions = np.array(list(itertools.combinations(range(1, p), m)), dtype=np.uint8)
+                for r in derangements:
+                    phi, ok = oracle_complete_block(p, 1, positions, positions[:, list(r)])
+                    order = _piece_order(r)
+                    if order is None:
+                        assert not ok.any()
+                    else:
+                        assert ok.all()
+                        assert np.array_equal(_phi_block(p, positions, order), phi)
+        # cyclic permutations with no i -> i + 1 (OEIS A000757)
+        assert completing == {2: 0, 3: 1, 4: 1, 5: 8, 6: 36}
+
+    def test_rearrangements_that_complete(self):
+        assert [_piece_order(nxt) for nxt in search.REARRANGEMENTS[3]] == [(0, 2, 1, 3), None]
+        assert [_piece_order(nxt) for nxt in search.REARRANGEMENTS[4]] == [(0, 3, 2, 1, 4)]
 
 
 class TestReflectionQuotient:
@@ -217,12 +268,12 @@ class TestReflectionQuotient:
     def test_partners_complete_together_at_one_distance(self, p, m):
         # pattern by pattern on rows 1, 2 and p - 1: the partner of a
         # completing pattern completes with phi''(k) = -phi(-k) mod p
-        positions, sources, _ = _pattern_table(p, m)
+        positions, sources, _ = oracle_family(p, m)
         partners = reflected_partners(p, m)
         cells = _distance_cells(p)
         k = np.arange(p)
         for h in (1, 2, p - 1):
-            phi, ok = _complete_block(p, h, positions, sources)
+            phi, ok = oracle_complete_block(p, h, positions, sources)
             dvals = _phi_distances(p, phi, cells)
             phi = phi.astype(np.intp)
             paired = 0
@@ -266,13 +317,20 @@ class TestReflectionQuotient:
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("m", [3, 4])
     def test_weights_match_partner_lookup(self, p, m):
-        _, _, weights = _pattern_table(p, m)
-        expected = [
-            1 if partner is None or partner == j else 2 if partner > j else 0
-            for j, partner in enumerate(reflected_partners(p, m))
-        ]
-        assert weights.tolist() == expected
-        assert weights.sum() == len(weights)
+        # the kept position tuples are the patterns of nonzero weight under
+        # the partner lookup: a pattern is kept unless its partner comes
+        # first, and the rearrangements of one tuple are kept together
+        positions, _, _ = oracle_family(p, m)
+        partners = reflected_partners(p, m)
+        keep = np.array([q is None or q >= j for j, q in enumerate(partners)])
+        for j, q in enumerate(partners):
+            if q is not None and q != j:
+                assert keep[j] != keep[q]  # exactly one of each pair
+        per_tuple = keep.reshape(-1, len(search.REARRANGEMENTS[m]))
+        assert (per_tuple == per_tuple[:, :1]).all()
+        kept = positions[:: per_tuple.shape[1]][per_tuple[:, 0]]
+        table = _pattern_table(p, m)
+        assert table.dtype == np.uint8 and np.array_equal(table, kept)
 
     def test_rearrangements_are_reflection_symmetric(self):
         # rho nxt^-1 rho = nxt with rho(k) = m - 1 - k, so a partner keeps
@@ -282,36 +340,39 @@ class TestReflectionQuotient:
                 inv = np.argsort(nxt)
                 assert [m - 1 - inv[m - 1 - k] for k in range(m)] == list(nxt)
 
-    @pytest.mark.parametrize("p, scored, family", [(17, 672, 1120), (31, 4480, 8120)])
+    @pytest.mark.parametrize("p, scored, family", [(17, 336, 1120), (31, 2240, 8120)])
     def test_scored_counts(self, monkeypatch, p, scored, family):
-        _, _, weights = _pattern_table(p, 3)
-        assert (np.count_nonzero(weights), len(weights)) == (scored, family)
-        completed = []
-        real = search._complete_block
+        # m = 3 scores (1, 2, 0) at the kept tuples and counts both
+        # 3-cycles at every tuple, half of them completing
+        assert len(_pattern_table(p, 3)) == scored
+        built = []
+        real = search._phi_block
 
-        def counting(p, h, positions, sources):
-            completed.append(len(positions))
-            return real(p, h, positions, sources)
+        def counting(p, positions, order):
+            built.append(len(positions))
+            return real(p, positions, order)
 
-        monkeypatch.setattr(search, "_complete_block", counting)
-        assert _search_m(p, 3, 1).candidates_enumerated == family
-        assert sum(completed) == scored
+        monkeypatch.setattr(search, "_phi_block", counting)
+        case = _search_m(p, 3, 1)
+        assert (case.candidates_enumerated, case.candidates_completing) == (family, family // 2)
+        assert sum(built) == scored
 
     @pytest.mark.parametrize("p, m", [(11, 3), (13, 4), (23, 4)])
     def test_all_rows_complete_row_one_once(self, monkeypatch, p, m):
         # x -> hx carries row 1's search to every row, so a search over all
-        # rows completes row 1's scored patterns once and no other row's
-        rows_completed = []
-        real = search._complete_block
+        # rows builds phi for row 1's scored patterns once (_phi_block
+        # builds only row 1's) and for no other row's
+        built = []
+        real = search._phi_block
 
-        def counting(p, h, positions, sources):
-            rows_completed.extend([h] * len(positions))
-            return real(p, h, positions, sources)
+        def counting(p, positions, order):
+            built.append(len(positions))
+            return real(p, positions, order)
 
-        monkeypatch.setattr(search, "_complete_block", counting)
+        monkeypatch.setattr(search, "_phi_block", counting)
         _search_m(p, m, p - 1)
-        _, _, weights = _pattern_table(p, m)
-        assert rows_completed == [1] * np.count_nonzero(weights)
+        completing = [nxt for nxt in search.REARRANGEMENTS[m] if _piece_order(nxt) is not None]
+        assert sum(built) == len(completing) * len(_pattern_table(p, m))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_search_matches_full_family_on_fixed_row(self, p):
@@ -372,10 +433,10 @@ class TestPrimeStabilityVerify:
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_block_size_keeps_mcase(self, monkeypatch, block):
-        # blocks split row 1's scored patterns, so the witness index must
-        # count the patterns of the earlier blocks (the m = 4 witness is
-        # pattern 7)
-        expected = [_search_m(11, m, 10) for m in (3, 4)]
+        # blocks split row 1's kept tuples, so the witness index must
+        # count the tuples of the earlier blocks (the m = 4 witness is
+        # tuple 7)
+        expected = [oracle_search_m(11, m, range(1, 11)) for m in (3, 4)]
         monkeypatch.setattr(search, "_BLOCK", block)
         assert [_search_m(11, m, 10) for m in (3, 4)] == expected
 
@@ -411,18 +472,18 @@ class TestPrimeStabilityVerify:
     @pytest.mark.parametrize("p", [11, 13])
     def test_rows_equivariant_to_fixed_row(self, p):
         # the row of h is x -> x + h, so pattern j on row h is pattern j on
-        # row 1 scaled by h: phi_h = h * phi_1 mod p, with the same
-        # completions and distances
+        # row 1 scaled by h: the walk's phi_h = h * phi_1 mod p, with phi_1
+        # as the library builds it, and the same completions and distances
         for m in (3, 4):
-            positions, sources, _ = _pattern_table(p, m)
-            phi1, ok1 = _complete_block(p, 1, positions, sources)
+            positions, sources, _ = oracle_family(p, m)
+            phi1, ok1 = library_phi(p, m)
             cells = _distance_cells(p)
             d1 = _phi_distances(p, phi1[:, ok1], cells)
             assert ok1.any()
-            for h in range(2, p):
-                phi, ok = _complete_block(p, h, positions, sources)
-                assert np.array_equal(phi, phi1.astype(np.intp) * h % p)
+            for h in range(1, p):
+                phi, ok = oracle_complete_block(p, h, positions, sources)
                 assert np.array_equal(ok, ok1)
+                assert np.array_equal(phi[:, ok], phi1[:, ok1].astype(np.intp) * h % p)
                 assert np.array_equal(_phi_distances(p, phi[:, ok], cells), d1)
 
     @pytest.mark.parametrize("p", [11, 13])
