@@ -119,10 +119,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def sign(self) -> int:
-        flips = sum(len(c) - 1 for c in self.cycles())
-        return -1 if flips % 2 else 1
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.image))
 
@@ -259,9 +255,6 @@ class GroupTable:
 
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(self.orders))
-
-    def is_abelian(self) -> bool:
-        return bool((self.array == self.array.T).all())
 
     def to_text(self) -> str:
         lines = [str(self.n)]

@@ -47,6 +47,11 @@ from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_
 # completing rearrangement, to about 1.3 MiB at p = 31 (traced).
 _BLOCK = 1024
 
+# The largest p the pattern search takes.  Its uint8 positions and phi,
+# the int64 keys of _pattern_table and the uint8/uint16 arithmetic of
+# _phi_distances are all exact up to it (2(p - 1) <= 255).
+_MAX_SEARCH_P = 127
+
 # Coset representatives per block of all_group_tables.  Bounds its
 # temporaries, the (block, n*n) tables, gather index and mismatch mask, to
 # well under 1 MiB at n = 8, beside the coset representatives it keeps.
@@ -242,10 +247,26 @@ def complete_from_row(
     return validate_table([list(r) for r in cells if r is not None])
 
 
+def _combinations(p: int, k: int) -> np.ndarray:
+    """The k-subsets of 1..p-1 as a (C(p-1, k), k) uint8 array, in the
+    lexicographic order of itertools.combinations(range(1, p), k)."""
+    combos = np.zeros((1, 0), dtype=np.uint8)
+    last = np.zeros(1, dtype=np.intp)  # each row's last value, 0 before the first column
+    for _ in range(k):
+        # A row ending in v has the children v+1, ..., p-1, in order; a row
+        # ending in p-1 has none and drops out.
+        children = p - 1 - last
+        ends = np.cumsum(children)
+        offset = np.arange(ends[-1]) - np.repeat(ends - children, children)
+        last = np.repeat(last, children) + 1 + offset
+        combos = np.column_stack((np.repeat(combos, children, axis=0), last.astype(np.uint8)))
+    return combos
+
+
 def _pattern_table(p: int, m: int) -> np.ndarray:
     """The row-1 position tuples that the search scores, one of each
     reflection pair, as an (N, m) uint8 exponent array in lexicographic
-    order.
+    order: the rows of _combinations(p, m) that the rule below keeps.
 
     x -> -x maps the row-1 pattern sigma at positions P = (i0, ..., i_{m-1})
     to N sigma^-1 N, which moves the reflected positions
@@ -256,15 +277,16 @@ def _pattern_table(p: int, m: int) -> np.ndarray:
     is a lexicographically smaller tuple, which comes first and is scored
     for both.  When p-1 is in P the partner moves position 0 and is no
     pattern, so P is kept.  Scaling by h carries this to every row.
+
+    Tuples are compared by their base-p keys sum_j i_j p^(m-1-j), which
+    order them lexicographically since every entry is below p.  The key of
+    the reflection is p^m - 1 less the key of P read with its digits
+    reversed, and p^m < 2^63 for p <= _MAX_SEARCH_P and m <= 9.
     """
-    count = math.comb(p - 1, m)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
-    combos = np.fromiter(flat, dtype=np.uint8, count=count * m).reshape(count, m)
-    mirror = p - 1 - combos[:, ::-1]
-    first = (mirror != combos).argmax(axis=1)
-    rows = np.arange(count)
-    keep = (mirror[rows, first] >= combos[rows, first]) | (combos[:, -1] == p - 1)
-    return combos[keep]
+    combos = _combinations(p, m)
+    weights = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    mirror_key = p**m - 1 - combos @ weights[::-1]
+    return combos[(mirror_key >= combos @ weights) | (combos[:, -1] == p - 1)]
 
 
 def _piece_order(nxt: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -317,11 +339,11 @@ def _phi_block(p: int, positions: np.ndarray, order: tuple[int, ...]) -> np.ndar
 
 
 def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The cells (x, y, (x + y) % p) that _phi_distances checks: first the
-    diagonal 0 < x = y, then 0 < x < y."""
+    """The cells (x, y, (x + y) % p) that _phi_distances checks, as intp
+    index arrays: first the diagonal 0 < x = y, then the pairs 0 < x < y
+    of _combinations(p, 2), in lexicographic order."""
     diag = np.arange(1, p)
-    x, y = np.triu_indices(p - 1, k=1)
-    x, y = x + 1, y + 1
+    x, y = _combinations(p, 2).T.astype(np.intp)
     return (diag, diag, 2 * diag % p), (x, y, (x + y) % p)
 
 
@@ -366,7 +388,10 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
     Rows come in order, so the first minimizer is row 1's first minimizer.
     A partner is always later than the tuple scored for it, and blocks come
     in order, so only a strictly smaller distance replaces the first
-    minimizer."""
+    minimizer.  A p above _MAX_SEARCH_P is refused, since the search's
+    arithmetic is exact only up to it."""
+    if p > _MAX_SEARCH_P:
+        raise InputError(f"the pattern search is exact only for p <= {_MAX_SEARCH_P}, got {p}")
     scored = [(nxt, o) for nxt in REARRANGEMENTS[m] if (o := _piece_order(nxt)) is not None]
     positions = _pattern_table(p, m) if scored else np.zeros((0, m), dtype=np.uint8)
     per_rearrangement = math.comb(p - 1, m) * rows

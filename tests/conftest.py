@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from functools import partial
 
@@ -33,6 +34,16 @@ def random_permutation(n: int, rng: random.Random) -> cd.Permutation:
     img = list(range(n))
     rng.shuffle(img)
     return cd.Permutation(tuple(img))
+
+
+def is_abelian(t: cd.GroupTable) -> bool:
+    return bool((t.array == t.array.T).all())
+
+
+def sign(f: cd.Permutation) -> int:
+    """+1 for an even permutation, -1 for an odd one, from its cycles."""
+    flips = sum(len(c) - 1 for c in f.cycles())
+    return -1 if flips % 2 else 1
 
 
 @pytest.fixture
@@ -516,6 +527,20 @@ def oracle_family(p: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
     positions = np.array([pos for pos, _ in family], dtype=np.intp)
     sources = np.array([[pos[k] for k in nxt] for pos, nxt in family], dtype=np.intp)
     return positions, sources, [nxt for _, nxt in family]
+
+
+def oracle_pattern_table(p: int, m: int) -> np.ndarray:
+    """search._pattern_table by itertools: every position tuple, and the
+    reflection rule read at the first slot where a tuple and its
+    reflection differ."""
+    count = math.comb(p - 1, m)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
+    combos = np.fromiter(flat, dtype=np.uint8, count=count * m).reshape(count, m)
+    mirror = p - 1 - combos[:, ::-1]
+    first = (mirror != combos).argmax(axis=1)
+    rows = np.arange(count)
+    keep = (mirror[rows, first] >= combos[rows, first]) | (combos[:, -1] == p - 1)
+    return combos[keep]
 
 
 def oracle_search_m(p: int, m: int, rows) -> search.MCase:

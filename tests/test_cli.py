@@ -682,7 +682,7 @@ def test_run_verification_fails_on_a_cross_check_below_the_threshold(capsys, mon
     spec.loader.exec_module(script)
     monkeypatch.setattr("sys.argv", ["run_verification.py"])
     monkeypatch.setattr(script, "PRIMES", (11,))
-    monkeypatch.setattr(script, "CROSS_CHECK_PRIMES", (37,))
+    monkeypatch.setattr(script, "CROSS_CHECKS", ((37, 3), (37, 4)))
     assert script.main() == 0
     real = script._search_m
 

@@ -25,6 +25,7 @@ from conftest import (
     outcome,
     random_permutation,
     reconstruct_branch_cases,
+    sign,
 )
 
 perm_5 = st.permutations(range(5)).map(lambda img: cd.Permutation(tuple(img)))
@@ -33,7 +34,7 @@ perm_6 = st.permutations(range(6)).map(lambda img: cd.Permutation(tuple(img)))
 
 @given(perm_6, perm_6)
 def test_sign_is_multiplicative(f, g):
-    assert f.compose(g).sign() == f.sign() * g.sign()
+    assert sign(f.compose(g)) == sign(f) * sign(g)
 
 
 @given(perm_6)

@@ -20,6 +20,7 @@ from cayleydist.errors import (
     UnsupportedM,
 )
 from cayleydist.search import (
+    _combinations,
     _distance_cells,
     _lex_permutations,
     _pattern_table,
@@ -39,6 +40,7 @@ from conftest import (
     oracle_dist,
     oracle_family,
     oracle_pairwise_delta,
+    oracle_pattern_table,
     oracle_search_m,
 )
 
@@ -388,6 +390,44 @@ class TestReflectionQuotient:
         assert cases
         for case in cases:
             assert case == oracle_search_m(p, case.m, rows)
+
+
+class TestPositionTable:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [11, 13, 31, 61, 127])
+    def test_combinations_match_itertools(self, p, k):
+        count = math.comb(p - 1, k)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), k))
+        expected = np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
+        combos = _combinations(p, k)
+        assert combos.dtype == np.uint8 and np.array_equal(combos, expected)
+
+    @pytest.mark.parametrize(
+        "p, m",
+        [(p, m) for p in filter(cd.is_prime, range(11, 62)) for m in (3, 4)]
+        + [(p, 5) for p in PRIMES],
+    )
+    def test_pattern_table_matches_oracle(self, p, m):
+        # the base-p keys decide the reflection rule as the first differing
+        # slot does
+        table = _pattern_table(p, m)
+        assert table.dtype == np.uint8 and np.array_equal(table, oracle_pattern_table(p, m))
+
+    @pytest.mark.parametrize("p", [11, 31, 127])
+    def test_distance_cells_match_triu_indices(self, p):
+        x, y = np.triu_indices(p - 1, k=1)
+        x, y = x + 1, y + 1
+        diag = np.arange(1, p)
+        expected = (diag, diag, 2 * diag % p), (x, y, (x + y) % p)
+        cells = _distance_cells(p)
+        for got, want in zip(itertools.chain(*cells), itertools.chain(*expected)):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+
+    def test_search_refuses_p_above_127(self):
+        # uint8 positions and phi, int64 keys and the distance kernel's
+        # arithmetic are exact only up to p = 127
+        with pytest.raises(InputError, match=r"^the pattern search is exact only for p <= 127, got 131$"):
+            _search_m(131, 3, 1)
 
 
 class TestPrimeStabilityVerify:
