@@ -506,11 +506,11 @@ def transport(t: GroupTable, f: Permutation) -> GroupTable:
     """The table with a * b = f(f^-1(a) . f^-1(b)); f becomes an isomorphism."""
     if f.n != t.n:
         raise DimensionMismatch(f"table order {t.n} vs permutation size {f.n}")
-    img = np.asarray(f.image, dtype=np.intp)
+    img = np.array(f.image, dtype=np.intp)
     finv = img.argsort()
     # img[t.array[finv[:, None], finv]], with the inner gather built faster by takes.
     arr = img[t.array.take(finv, 0).take(finv, 1)]
-    return GroupTable._from_array(arr, identity=img.item(t.identity))
+    return GroupTable._from_array(arr, identity=f.image[t.identity])
 
 
 def power(t: GroupTable, g: int, k: int) -> int:

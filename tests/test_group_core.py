@@ -733,7 +733,7 @@ class TestTransport:
             assert cd.hom_distance(f, t, moved) == 0
 
     def test_dimension_mismatch(self, z5):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^table order 5 vs permutation size 6$"):
             cd.transport(z5, cd.Permutation.identity(6))
 
 

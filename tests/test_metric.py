@@ -75,7 +75,7 @@ class TestDist:
         assert cd.dist(z5, moved).m is None
 
     def test_dimension_mismatch(self, z5, z7):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^orders differ: 5 vs 7$"):
             cd.dist(z5, z7)
 
     def test_profile_is_immutable_value(self, z7, paper_f7):
@@ -114,8 +114,14 @@ class TestHomDistance:
             cd.hom_distance([0, 1, 2, 3, 7], z5, z5)
         with pytest.raises(InputError, match=r"^map image -1 outside 0\.\.4$"):
             cd.hom_distance([0, -1, 2, 9, 1], z5, z5)
-        with pytest.raises(DimensionMismatch):
-            cd.hom_distance([0, 1, 2, 3], z5, z5)
+        for f in ([0, 1, 2, 3], cd.Permutation.identity(4)):
+            with pytest.raises(DimensionMismatch, match=r"^map has 4 entries, table order 5$"):
+                cd.hom_distance(f, z5, z5)
+
+    def test_permutation_into_a_smaller_target(self):
+        # a permutation's images lie in the source's range, not the target's
+        with pytest.raises(InputError, match=r"^map image 3 outside 0\.\.2$"):
+            cd.hom_distance(cd.Permutation.identity(9), cyclic(9), cyclic(3))
 
     @pytest.mark.parametrize(
         "img,shown",
@@ -446,6 +452,25 @@ class TestCheckLemmas:
             prof = cd.dist(z9, moved)
             assert all(d not in (1, 2) for d in prof.row)
 
+    def test_dimension_mismatch(self, z5, z7):
+        with pytest.raises(DimensionMismatch, match=r"^orders differ: 5 vs 7$"):
+            cd.check_lemmas(z5, z7)
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (10, 3), (6, 2), (9, 3)])
+    def test_triple_sum_scan_skip_boundary(self, n, k):
+        # Every row differs in exactly k cells, so every triple sum is 3k:
+        # at 3k = n - 1 each mismatch violates the triple-sum lemma, and at
+        # 3k = n, where check_lemmas skips the scan, none does.
+        rng = random.Random(n)
+        for _ in range(10):
+            a, b = _k_cells_per_row(n, k, rng)
+            violations = cd.check_lemmas(a, b)
+            assert violations == oracle_check_lemmas(a, b)
+            low = [v.witness for v in violations if v.name == "row_triple_sum"]
+            cells = [(x, y) for x in range(n) for y in range(n) if a.cells[x][y] != b.cells[x][y]]
+            assert len(cells) == n * k
+            assert [(w["a"], w["b"]) for w in low] == (cells if 3 * k < n else [])
+
     def test_agreement_set_is_subgroup(self):
         rng = random.Random(17)
         for n in (9, 11):
@@ -499,6 +524,17 @@ def _perturbed_pair(n: int, rng: random.Random) -> tuple[cd.GroupTable, cd.Group
         cd.GroupTable(n, tuple(map(tuple, cells)), e),
         cd.GroupTable(n, tuple(map(tuple, other)), f),
     )
+
+
+def _k_cells_per_row(n: int, k: int, rng: random.Random) -> tuple[cd.GroupTable, cd.GroupTable]:
+    """A random table (not a group) and a copy with exactly k cells of
+    every row changed, both with identity 0."""
+    cells = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    other = [row[:] for row in cells]
+    for row in other:
+        for y in rng.sample(range(n), k):
+            row[y] = (row[y] + rng.randrange(1, n)) % n
+    return cd.GroupTable(n, cells, 0), cd.GroupTable(n, other, 0)
 
 
 class TestKernelsAgainstOracles:
