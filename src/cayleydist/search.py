@@ -9,9 +9,11 @@ coset of Aut(G).
 Whether a pattern completes to a group depends on its rearrangement
 alone (see _piece_order), so the search counts the family by formula and
 scores only the completing rearrangements.  It scores one pattern of each
-reflection pair: x -> -x is an automorphism of Z_p that maps a pattern to
-a partner at the reflected positions, which completes with it and lies at
-the same distance.  x -> hx is an automorphism of Z_p that carries row 1's
+orbit of a Klein four-group: x -> -x is an automorphism of Z_p that maps a
+pattern to a partner at the reflected positions, and a completion phi and
+its inverse lie at the same distance from Z_p, where phi^-1 is the
+completion of the pattern at the inverted positions (see _pattern_table).
+x -> hx is an automorphism of Z_p that carries row 1's
 search to the row of h, so a search over several rows scores row 1's
 patterns once and counts them once per row; the witness is always row 1's.
 """
@@ -47,9 +49,9 @@ from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_
 # completing rearrangement, to about 1.3 MiB at p = 31 (traced).
 _BLOCK = 1024
 
-# The largest p the pattern search takes.  Its uint8 positions and phi,
-# the int64 keys of _pattern_table and the uint8/uint16 arithmetic of
-# _phi_distances are all exact up to it (2(p - 1) <= 255).
+# The largest p the pattern search takes.  Its uint8 positions and phi
+# and the uint8/uint16 arithmetic of _phi_distances are exact up to it
+# (2(p - 1) <= 255).
 _MAX_SEARCH_P = 127
 
 # Coset representatives per block of all_group_tables.  Bounds its
@@ -148,8 +150,9 @@ class VerificationReport:
 # none (see _piece_order), and the second stays so that
 # candidates_enumerated keeps counting the superset.  m = 4 gets the forced
 # double transposition (i0 i2)(i1 i3), which always completes.  Each row
-# equals its own reflection rho nxt^-1 rho, rho(k) = m-1-k, which
-# _pattern_table's reflection quotient relies on.
+# equals its own reflection rho nxt^-1 rho, rho(k) = m-1-k, and each
+# completing row's piece order is (0, m-1, ..., 1, m), an involution that
+# reverses the interior pieces; _pattern_table's quotient relies on both.
 REARRANGEMENTS: dict[int, tuple[tuple[int, ...], ...]] = {
     3: ((1, 2, 0), (2, 0, 1)),
     4: ((2, 3, 0, 1),),
@@ -172,7 +175,7 @@ def enumerate_patterns(p: int, m: int, h: int = 1) -> Iterator[PatternMod]:
     This is the readable reference for the order and the content of the
     family; prime_stability_verify counts every one of these patterns but
     scores only the completing ones, and of those only the first of each
-    reflection pair (see _search_m).
+    orbit of _pattern_table (see _search_m).
     """
     if m not in REARRANGEMENTS:
         supported = ", ".join(map(str, sorted(REARRANGEMENTS)))
@@ -264,29 +267,46 @@ def _combinations(p: int, k: int) -> np.ndarray:
 
 
 def _pattern_table(p: int, m: int) -> np.ndarray:
-    """The row-1 position tuples that the search scores, one of each
-    reflection pair, as an (N, m) uint8 exponent array in lexicographic
-    order: the rows of _combinations(p, m) that the rule below keeps.
+    """The row-1 position tuples that the search scores, one of each orbit
+    of {id, R, I, RI} below, as an (N, m) uint8 exponent array in
+    lexicographic order: the rows of _combinations(p, m) that the rule
+    below keeps.
 
-    x -> -x maps the row-1 pattern sigma at positions P = (i0, ..., i_{m-1})
-    to N sigma^-1 N, which moves the reflected positions
-    (p-1-i_{m-1}, ..., p-1-i0) by the same rearrangement, since
+    R: x -> -x maps the row-1 pattern sigma at positions
+    P = (i0, ..., i_{m-1}) to N sigma^-1 N, which moves the reflected
+    positions (p-1-i_{m-1}, ..., p-1-i0) by the same rearrangement, since
     rho nxt^-1 rho = nxt for each row of REARRANGEMENTS with
     rho(k) = m-1-k.  Its completion is k -> -phi(-k), so it completes with
-    sigma, at the same distance.  So a tuple is kept unless its reflection
-    is a lexicographically smaller tuple, which comes first and is scored
-    for both.  When p-1 is in P the partner moves position 0 and is no
-    pattern, so P is kept.  Scaling by h carries this to every row.
+    sigma, at the same distance.  When p-1 is in P the partner moves
+    position 0 and is no pattern.
 
-    Tuples are compared by their base-p keys sum_j i_j p^(m-1-j), which
-    order them lexicographically since every entry is below p.  The key of
-    the reflection is p^m - 1 less the key of P read with its digits
-    reversed, and p^m < 2^63 for p <= _MAX_SEARCH_P and m <= 9.
+    I: the transport of Z_p by phi^-1 is at the distance of phi's, by
+    x = phi^-1(u), y = phi^-1(v).  phi lists the pieces of _piece_order in
+    visit order, so phi^-1 lists pieces of the lengths in that order, in
+    the inverse order.  For a completing row of REARRANGEMENTS the order is
+    (0, m-1, ..., 1, m), its own inverse, so phi^-1 is the completion of
+    the same rearrangement at the positions whose interior pieces come
+    reversed: i_j -> i0 + i_{m-1} - i_{m-1-j}, i0 and i_{m-1} fixed.
+
+    In gap form, a = i0, b = p-1-i_{m-1} and g = (i1 - i0, ...,
+    i_{m-1} - i_{m-2}), I reverses g, and RI swaps a and b, a pattern only
+    when b >= 1.  Tuples order as (a, g) does, since
+    i_j = a + g_0 + ... + g_{j-1}.  So P is first of its orbit, and kept,
+    iff g is at most its reverse, lexicographically, and b = 0 or a <= b.
+    The search keeps the first minimizer, and that is first of its orbit
+    too.  Scaling by h carries all this to every row.
     """
     combos = _combinations(p, m)
-    weights = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    mirror_key = p**m - 1 - combos @ weights[::-1]
-    return combos[(mirror_key >= combos @ weights) | (combos[:, -1] == p - 1)]
+    gaps = np.diff(combos, axis=1)
+    # g <= reversed(g): decided at the first k from the left, k < (m-1)/2,
+    # where g_k and g_{m-2-k} differ, so fold the comparison from the middle
+    # out
+    at_most = np.ones(len(combos), dtype=bool)
+    for k in reversed(range((m - 1) // 2)):
+        left, right = gaps[:, k], gaps[:, m - 2 - k]
+        at_most = (left < right) | ((left == right) & at_most)
+    b = p - 1 - combos[:, -1]
+    return combos[at_most & ((b == 0) | (combos[:, 0] <= b))]
 
 
 def _piece_order(nxt: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -377,8 +397,8 @@ def _phi_distances(
 def _search_m(p: int, m: int, rows: int) -> MCase:
     """Search every pattern of the rows h = 1..rows by scoring each
     completing rearrangement at row 1's kept position tuples (one of each
-    reflection pair) once, in enumeration order and in blocks of at most
-    _BLOCK tuples.
+    orbit of _pattern_table) once, in enumeration order and in blocks of at
+    most _BLOCK tuples.
 
     Whether a pattern completes depends on its rearrangement alone (see
     _piece_order), so C(p-1, m) patterns of each row complete per
@@ -386,9 +406,9 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
     on row h completes exactly when pattern j on row 1 does, with
     phi_h = h phi_1, at the same distance.  So each row adds row 1's counts.
     Rows come in order, so the first minimizer is row 1's first minimizer.
-    A partner is always later than the tuple scored for it, and blocks come
-    in order, so only a strictly smaller distance replaces the first
-    minimizer.  A p above _MAX_SEARCH_P is refused, since the search's
+    The rest of an orbit is always later than the tuple scored for it, and
+    blocks come in order, so only a strictly smaller distance replaces the
+    first minimizer.  A p above _MAX_SEARCH_P is refused, since the search's
     arithmetic is exact only up to it."""
     if p > _MAX_SEARCH_P:
         raise InputError(f"the pattern search is exact only for p <= {_MAX_SEARCH_P}, got {p}")

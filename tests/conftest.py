@@ -530,24 +530,31 @@ def oracle_family(p: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def oracle_pattern_table(p: int, m: int) -> np.ndarray:
-    """search._pattern_table by itertools: every position tuple, and the
-    reflection rule read at the first slot where a tuple and its
-    reflection differ."""
+    """search._pattern_table by itertools: every position tuple, kept when
+    it is at most its reflection R, its inversion I and RI, each compared
+    at the first slot where the two differ; R and RI count only when p - 1
+    is not a position."""
     count = math.comb(p - 1, m)
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), m))
     combos = np.fromiter(flat, dtype=np.uint8, count=count * m).reshape(count, m)
-    mirror = p - 1 - combos[:, ::-1]
-    first = (mirror != combos).argmax(axis=1)
     rows = np.arange(count)
-    keep = (mirror[rows, first] >= combos[rows, first]) | (combos[:, -1] == p - 1)
+
+    def at_most(other: np.ndarray) -> np.ndarray:
+        first = (other != combos).argmax(axis=1)
+        return other[rows, first] >= combos[rows, first]
+
+    inverted = combos[:, :1] + combos[:, -1:] - combos[:, ::-1]
+    reflected = p - 1 - combos[:, ::-1]
+    both = p - 1 - inverted[:, ::-1]
+    has_reflection = combos[:, -1] != p - 1
+    keep = at_most(inverted) & (~has_reflection | (at_most(reflected) & at_most(both)))
     return combos[keep]
 
 
 def oracle_search_m(p: int, m: int, rows) -> search.MCase:
-    """search._search_m without the reflection quotient or the segment
-    rule: every pattern of every row in rows is walked by
-    oracle_complete_block, and each that completes is scored, in
-    enumeration order."""
+    """search._search_m without the orbit quotient or the segment rule:
+    every pattern of every row in rows is walked by oracle_complete_block,
+    and each that completes is scored, in enumeration order."""
     positions, sources, nxts = oracle_family(p, m)
     cells = search._distance_cells(p)
     completing = 0

@@ -67,6 +67,35 @@ def reflected_partners(p: int, m: int) -> list:
     return partners
 
 
+def inverted_partners(p: int, m: int) -> list:
+    """Each pattern's inverted partner, as an index into oracle_family(p, m):
+    for a row-1 pattern that completes with phi, the pattern that completes
+    with phi^-1, and None for a pattern that does not complete.
+
+    Row 1 of the transport of Z_p by phi is phi tau phi^-1, with
+    tau(x) = x + 1, since phi(1) = sigma(0) = 1; so row 1 of the transport
+    by phi^-1 is phi^-1 tau phi.  Its positions are the x it does not move
+    to x + 1, and the partner is found by its (positions, sources) in a
+    dictionary of the whole family, as reflected_partners finds its."""
+    positions, sources, _ = oracle_family(p, m)
+    index = {
+        (tuple(pos), tuple(src)): j
+        for j, (pos, src) in enumerate(zip(positions.tolist(), sources.tolist()))
+    }
+    phi, ok = oracle_complete_block(p, 1, positions, sources)
+    phi = phi.astype(np.intp)
+    inverse = np.argsort(phi, axis=0)
+    rows = np.take_along_axis(inverse, (phi + 1) % p, axis=0)  # phi^-1 tau phi
+    tau = (np.arange(p) + 1) % p
+    partners = []
+    for j, completes in enumerate(ok):
+        row = rows[:, j]
+        moved = np.flatnonzero(row != tau)
+        key = tuple(moved.tolist()), tuple(((row[moved] - 1) % p).tolist())
+        partners.append(index.get(key) if completes else None)
+    return partners
+
+
 def library_phi(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row 1's phi and completion for every pattern of oracle_family(p, m),
     in its order, as the library decides and builds them: completion by
@@ -319,20 +348,27 @@ class TestReflectionQuotient:
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("m", [3, 4])
     def test_weights_match_partner_lookup(self, p, m):
-        # the kept position tuples are the patterns of nonzero weight under
-        # the partner lookup: a pattern is kept unless its partner comes
-        # first, and the rearrangements of one tuple are kept together
+        # the kept position tuples are the completing patterns that come
+        # first in their orbit under the partner lookups: reflection and
+        # inversion are commuting involutions, so the orbit of j is
+        # {j, I j, R j, R I j}, less R j and R I j when R j is no pattern
         positions, _, _ = oracle_family(p, m)
-        partners = reflected_partners(p, m)
-        keep = np.array([q is None or q >= j for j, q in enumerate(partners)])
-        for j, q in enumerate(partners):
-            if q is not None and q != j:
-                assert keep[j] != keep[q]  # exactly one of each pair
-        per_tuple = keep.reshape(-1, len(search.REARRANGEMENTS[m]))
-        assert (per_tuple == per_tuple[:, :1]).all()
-        kept = positions[:: per_tuple.shape[1]][per_tuple[:, 0]]
+        reflected = reflected_partners(p, m)
+        inverted = inverted_partners(p, m)
+        kept = []
+        for j, i in enumerate(inverted):
+            if i is None:
+                continue  # does not complete, so it is not scored
+            assert inverted[i] == j
+            orbit = {j, i}
+            r = reflected[j]
+            if r is not None:
+                assert reflected[r] == j and inverted[r] == reflected[i]
+                orbit |= {r, reflected[i]}
+            if j == min(orbit):
+                kept.append(positions[j])
         table = _pattern_table(p, m)
-        assert table.dtype == np.uint8 and np.array_equal(table, kept)
+        assert table.dtype == np.uint8 and np.array_equal(table, np.reshape(kept, (-1, m)))
 
     def test_rearrangements_are_reflection_symmetric(self):
         # rho nxt^-1 rho = nxt with rho(k) = m - 1 - k, so a partner keeps
@@ -342,10 +378,10 @@ class TestReflectionQuotient:
                 inv = np.argsort(nxt)
                 assert [m - 1 - inv[m - 1 - k] for k in range(m)] == list(nxt)
 
-    @pytest.mark.parametrize("p, scored, family", [(17, 336, 1120), (31, 2240, 8120)])
+    @pytest.mark.parametrize("p, scored, family", [(17, 196, 1120), (31, 1225, 8120)])
     def test_scored_counts(self, monkeypatch, p, scored, family):
-        # m = 3 scores (1, 2, 0) at the kept tuples and counts both
-        # 3-cycles at every tuple, half of them completing
+        # m = 3 scores (1, 2, 0) at the kept tuples, one of each orbit, and
+        # counts both 3-cycles at every tuple, half of them completing
         assert len(_pattern_table(p, 3)) == scored
         built = []
         real = search._phi_block
@@ -392,6 +428,71 @@ class TestReflectionQuotient:
             assert case == oracle_search_m(p, case.m, rows)
 
 
+class TestInversionQuotient:
+    @pytest.mark.parametrize("p", [11, 13, 17])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_inverted_positions_complete_with_phi_inverse(self, p, m):
+        # every tuple P, for each scored row of REARRANGEMENTS: the walk's
+        # phi at I(P), i_j -> i0 + i_{m-1} - i_{m-1-j}, is the inverse of
+        # the walk's phi at P, and the distance kernel scores both alike
+        positions = np.array(list(itertools.combinations(range(1, p), m)), dtype=np.intp)
+        flipped = positions[:, :1] + positions[:, -1:] - positions[:, ::-1]
+        cells = _distance_cells(p)
+        scored = [nxt for nxt in search.REARRANGEMENTS[m] if _piece_order(nxt) is not None]
+        assert scored
+        for nxt in scored:
+            phi, ok = oracle_complete_block(p, 1, positions, positions[:, list(nxt)])
+            phi_inv, ok_inv = oracle_complete_block(p, 1, flipped, flipped[:, list(nxt)])
+            assert ok.all() and ok_inv.all()
+            assert np.array_equal(np.argsort(phi, axis=0), phi_inv)
+            assert np.array_equal(_phi_distances(p, phi, cells), _phi_distances(p, phi_inv, cells))
+
+    def test_inverse_end_to_end_at_11(self):
+        # the slow path: through complete_from_row, the table of I(P) is the
+        # transport of Z_11 by phi_P^-1, at the same distance from Z_11
+        z11 = cyclic(11)
+        checked = 0
+        for m in (3, 4):
+            for pos in itertools.combinations(range(1, 11), m):
+                flipped = tuple(pos[0] + pos[-1] - pos[m - 1 - j] for j in range(m))
+                for nxt in search.REARRANGEMENTS[m]:
+                    sigma = cd.apply_pattern(search._pattern(11, 1, pos, nxt), z11)
+                    try:
+                        table = cd.complete_from_row(z11, 1, sigma)
+                    except NotPCycle:
+                        continue
+                    phi = [0]
+                    while len(phi) < 11:
+                        phi.append(sigma.image[phi[-1]])
+                    phi_inv = cd.Permutation(tuple(phi)).inverse()
+                    other = cd.complete_from_row(
+                        z11, 1, cd.apply_pattern(search._pattern(11, 1, flipped, nxt), z11)
+                    )
+                    assert other == cd.transport(z11, phi_inv)
+                    assert cd.dist(z11, other).total == cd.dist(z11, table).total
+                    checked += 1
+        assert checked == math.comb(10, 3) + math.comb(10, 4)
+
+    def test_rearrangements_are_inversion_symmetric(self):
+        # each scored row's piece order is (0, m-1, ..., 1, m): an involution
+        # that lists the interior pieces reversed, so phi^-1 is the same
+        # rearrangement at the positions with the interior gaps reversed; a
+        # row without this would need another quotient
+        for m, rows in search.REARRANGEMENTS.items():
+            for nxt in rows:
+                order = _piece_order(nxt)
+                if order is None:
+                    continue
+                assert [order[k] for k in order] == list(range(m + 1))
+                assert order == (0, *range(m - 1, 0, -1), m)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_witness_beyond_the_goldens(self, m):
+        # the first minimizer survives the quotient at p = 37, past the
+        # verify goldens, which search nothing from p = 37 up
+        assert _search_m(37, m, 1) == oracle_search_m(37, m, [1])
+
+
 class TestPositionTable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [11, 13, 31, 61, 127])
@@ -408,8 +509,8 @@ class TestPositionTable:
         + [(p, 5) for p in PRIMES],
     )
     def test_pattern_table_matches_oracle(self, p, m):
-        # the base-p keys decide the reflection rule as the first differing
-        # slot does
+        # the gap rule keeps what the orbit comparison at the first
+        # differing slot keeps
         table = _pattern_table(p, m)
         assert table.dtype == np.uint8 and np.array_equal(table, oracle_pattern_table(p, m))
 
@@ -424,8 +525,8 @@ class TestPositionTable:
             assert got.dtype == np.intp and np.array_equal(got, want)
 
     def test_search_refuses_p_above_127(self):
-        # uint8 positions and phi, int64 keys and the distance kernel's
-        # arithmetic are exact only up to p = 127
+        # uint8 positions and phi and the distance kernel's arithmetic are
+        # exact only up to p = 127
         with pytest.raises(InputError, match=r"^the pattern search is exact only for p <= 127, got 131$"):
             _search_m(131, 3, 1)
 
