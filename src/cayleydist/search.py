@@ -44,10 +44,12 @@ from .group_core import (
 )
 from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_transposition_mf
 
-# Position tuples per block of the array search.  Bounds its working
-# memory, the (p(p-1)/2, block) arrays of the distance kernel for each
-# completing rearrangement, to about 1.3 MiB at p = 31 (traced).
-_BLOCK = 1024
+# Bytes per work array of the pattern search's distance kernel, which
+# checks p(p-1)/2 cells of a block of position tuples in (cells, block)
+# uint8 arrays.  _block_width makes each of them at most this size, below
+# glibc's default 128 KiB mmap threshold, for every p <= 31, so a search
+# reuses heap memory and takes no fresh pages from the operating system.
+_WORK_BYTES = 126_000
 
 # The largest p the pattern search takes.  Its uint8 positions and phi
 # and the uint8/uint16 arithmetic of _phi_distances are exact up to it
@@ -270,7 +272,8 @@ def _pattern_table(p: int, m: int) -> np.ndarray:
     """The row-1 position tuples that the search scores, one of each orbit
     of {id, R, I, RI} below, as an (N, m) uint8 exponent array in
     lexicographic order: the rows of _combinations(p, m) that the rule
-    below keeps.
+    below keeps, for m >= 2.  Only the kept tuples are built, from their
+    gaps (see the last paragraph).
 
     R: x -> -x maps the row-1 pattern sigma at positions
     P = (i0, ..., i_{m-1}) to N sigma^-1 N, which moves the reflected
@@ -295,18 +298,33 @@ def _pattern_table(p: int, m: int) -> np.ndarray:
     iff g is at most its reverse, lexicographically, and b = 0 or a <= b.
     The search keeps the first minimizer, and that is first of its orbit
     too.  Scaling by h carries all this to every row.
+
+    The partial sums c_j = g_0 + ... + g_{j-1} of a gap vector are an
+    (m-1)-subset of 1..p-2, and _combinations(p - 1, m - 1) lists them in
+    the lexicographic order of g.  With S = c_{m-1}, b = p-1-a-S, so the
+    rule keeps (a, g) iff g <= reversed(g) and S = p-1-a or S <= p-1-2a.
+    The (a, g) mask of the second half, read row by row, lists the kept
+    tuples in (a, g) order, which is lexicographic order, and
+    i_j = a + c_j.
     """
-    combos = _combinations(p, m)
-    gaps = np.diff(combos, axis=1)
+    sums = np.zeros((math.comb(p - 2, m - 1), m), dtype=np.uint8)  # c_0 = 0, then c
+    sums[:, 1:] = _combinations(p - 1, m - 1)
+    gaps = np.diff(sums, axis=1)
     # g <= reversed(g): decided at the first k from the left, k < (m-1)/2,
     # where g_k and g_{m-2-k} differ, so fold the comparison from the middle
     # out
-    at_most = np.ones(len(combos), dtype=bool)
+    at_most = np.ones(len(sums), dtype=bool)
     for k in reversed(range((m - 1) // 2)):
         left, right = gaps[:, k], gaps[:, m - 2 - k]
         at_most = (left < right) | ((left == right) & at_most)
-    b = p - 1 - combos[:, -1]
-    return combos[at_most & ((b == 0) | (combos[:, 0] <= b))]
+    kept = np.flatnonzero(at_most)
+    total = sums[kept, -1].astype(np.intp)
+    a = np.arange(1, p - 1)[:, None]  # a + S <= p - 1 and S >= 1
+    cut = np.flatnonzero((total == p - 1 - a) | (total <= p - 1 - 2 * a))
+    a_index, row = np.divmod(cut, len(kept))
+    table = sums.take(kept[row], axis=0)
+    table += (a_index + 1).astype(np.uint8)[:, None]
+    return table
 
 
 def _piece_order(nxt: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -358,47 +376,91 @@ def _phi_block(p: int, positions: np.ndarray, order: tuple[int, ...]) -> np.ndar
     return np.ascontiguousarray(phi.T)
 
 
-def _distance_cells(p: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The cells (x, y, (x + y) % p) that _phi_distances checks, as intp
-    index arrays: first the diagonal 0 < x = y, then the pairs 0 < x < y
-    of _combinations(p, 2), in lexicographic order."""
-    diag = np.arange(1, p)
-    x, y = _combinations(p, 2).T.astype(np.intp)
-    return (diag, diag, 2 * diag % p), (x, y, (x + y) % p)
+def _distance_cells(p: int) -> np.ndarray:
+    """The cells (x, y, (x + y) % p) that _phi_distances checks, as the
+    rows of a (3, p(p-1)/2) intp index array: first the diagonal
+    0 < x = y, then the pairs 0 < x < y in lexicographic order.  Every
+    index is in 0..p-1, so the kernel's gathers may skip the bounds check."""
+    cells = np.empty((3, p * (p - 1) // 2), dtype=np.intp)
+    cells[:2, : p - 1] = np.arange(1, p)
+    cells[:2, p - 1 :] = np.triu_indices(p - 1, k=1)
+    cells[:2, p - 1 :] += 1
+    np.add(cells[0], cells[1], out=cells[2])
+    cells[2] %= p
+    return cells
+
+
+def _block_width(cells: int) -> int:
+    """Position tuples per block of the search, for a kernel that checks
+    `cells` cells: _WORK_BYTES // cells, at least 256, so a large p still
+    scores wide blocks, and at most 1024."""
+    return min(max(_WORK_BYTES // cells, 256), 1024)
+
+
+def _kernel_buffers(cells: int, width: int) -> tuple[np.ndarray, ...]:
+    """Work buffers for _phi_distances over `cells` cells and blocks of at
+    most `width` patterns: three flat uint8 gather buffers of
+    cells * width entries, and a uint8 and a uint16 column sum of width
+    entries."""
+    gathers = tuple(np.empty(cells * width, dtype=np.uint8) for _ in range(3))
+    return *gathers, np.empty(width, dtype=np.uint8), np.empty(width, dtype=np.uint16)
 
 
 def _phi_distances(
-    p: int, phi: np.ndarray, cells: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    p: int,
+    phi: np.ndarray,
+    cells: np.ndarray,
+    buffers: Optional[tuple[np.ndarray, ...]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact distance from Z_p to its transport by each column of the
     (p, B) uint8 array phi: the number of cells (x, y) with
-    phi(x + y) != phi(x) + phi(y) mod p, as a (B,) intp array.
+    phi(x + y) != phi(x) + phi(y) mod p, written to out, a (B,) integer
+    array of at least 16 bits (by default a new intp array), and returned.
 
     Both sides are symmetric in x and y and agree when x or y is 0
     (phi(0) = 0), so only the cells of _distance_cells(p) are checked, and
     a pair x < y counts for two cells.  Each cell gathers whole rows of
-    phi, so the working arrays are (cells, B) and the count of a pattern
-    is a sum down its column.  The uint8 and uint16 arithmetic is exact for
-    p <= 127: 2(p - 1) <= 255, 257 - p > p, and p(p - 1) < 2**16.
+    phi, so the work arrays are (cells, B) and the count of a pattern is a
+    sum down its column.  Every step writes into buffers, the work arrays
+    of _kernel_buffers for at least B patterns, which a search allocates
+    once and reuses for every block; a call without buffers or out
+    allocates its own.
+
+    The arithmetic is exact for p <= 127.  s = phi(x) + phi(y) is at most
+    2(p - 1) <= 255, so it does not wrap in uint8.  s - p wraps below 0 to
+    s + 256 - p > s, so min(s, s - p) is s when s < p and s - p otherwise:
+    it is s mod p, to compare with phi(x + y).  A chunk of at most 255
+    rows sums its mismatches in uint8, and p(p - 1) < 2**16 bounds the
+    uint16 total.
     """
+    n, width = cells.shape[1], phi.shape[1]
+    if buffers is None:
+        buffers = _kernel_buffers(n, width)
+    if out is None:
+        out = np.empty(width, dtype=np.intp)
+    *gathers, chunk, upper = buffers
+    # contiguous (cells, B) views, so that take writes in place
+    s, t, xy = (buf[: n * width].reshape(n, width) for buf in gathers)
+    for idx, buf in zip(cells, (s, t, xy)):
+        np.take(phi, idx, axis=0, out=buf, mode="clip")
+    np.add(s, t, out=s)
+    np.subtract(s, np.uint8(p), out=t)
+    np.minimum(s, t, out=s)
+    bad = np.not_equal(s, xy, out=t.view(np.bool_)).view(np.uint8)
+    chunk, upper = chunk[:width], upper[:width]
+    upper[:] = 0
+    for lo in range(p - 1, n, 255):
+        np.add(upper, bad[lo : lo + 255].sum(axis=0, dtype=np.uint8, out=chunk), out=upper)
+    upper <<= 1
+    return np.add(upper, bad[: p - 1].sum(axis=0, dtype=np.uint8, out=chunk), out=out)
 
-    def mismatches(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
-        t = phi.take(x, 0)
-        t += phi.take(y, 0)  # at most 2(p - 1), so uint8 cannot wrap up
-        t -= phi.take(xy, 0)  # a cell that agrees leaves 0 or p; one below
-        # 0 wraps to at least 257 - p > p, so it still counts as a mismatch
-        bad = (t != 0) & (t != p)
-        return bad.view(np.uint8).sum(axis=0, dtype=np.uint16)
 
-    diag, upper = cells
-    return (mismatches(*diag) + 2 * mismatches(*upper)).astype(np.intp)
-
-
-def _search_m(p: int, m: int, rows: int) -> MCase:
+def _search_m(p: int, m: int, rows: int, cells: Optional[np.ndarray] = None) -> MCase:
     """Search every pattern of the rows h = 1..rows by scoring each
     completing rearrangement at row 1's kept position tuples (one of each
-    orbit of _pattern_table) once, in enumeration order and in blocks of at
-    most _BLOCK tuples.
+    orbit of _pattern_table) once, in enumeration order and in blocks of
+    _block_width tuples, over cells, which defaults to _distance_cells(p).
 
     Whether a pattern completes depends on its rearrangement alone (see
     _piece_order), so C(p-1, m) patterns of each row complete per
@@ -406,28 +468,34 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
     on row h completes exactly when pattern j on row 1 does, with
     phi_h = h phi_1, at the same distance.  So each row adds row 1's counts.
     Rows come in order, so the first minimizer is row 1's first minimizer.
-    The rest of an orbit is always later than the tuple scored for it, and
-    blocks come in order, so only a strictly smaller distance replaces the
-    first minimizer.  A p above _MAX_SEARCH_P is refused, since the search's
-    arithmetic is exact only up to it."""
+    The kernel reuses one set of buffers for every block and writes each
+    distance into a (tuples, rearrangements) array, whose row-major order
+    is enumeration order, so one argmin over it finds the first minimizer.
+    The rest of an orbit is always later than the tuple scored for it, so
+    that is the first minimizer of the whole family.  A p above
+    _MAX_SEARCH_P is refused, since the search's arithmetic is exact only
+    up to it."""
     if p > _MAX_SEARCH_P:
         raise InputError(f"the pattern search is exact only for p <= {_MAX_SEARCH_P}, got {p}")
     scored = [(nxt, o) for nxt in REARRANGEMENTS[m] if (o := _piece_order(nxt)) is not None]
     positions = _pattern_table(p, m) if scored else np.zeros((0, m), dtype=np.uint8)
     per_rearrangement = math.comb(p - 1, m) * rows
-    cells = _distance_cells(p)
+    if cells is None:
+        cells = _distance_cells(p)
+    width = _block_width(cells.shape[1])
+    buffers = _kernel_buffers(cells.shape[1], width)
+    dvals = np.empty((len(positions), len(scored)), dtype=np.uint16)
+    for start in range(0, len(positions), width):
+        block = positions[start : start + width]
+        for r, (_, order) in enumerate(scored):
+            phi = _phi_block(p, block, order)
+            _phi_distances(p, phi, cells, buffers, dvals[start : start + width, r])
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
-    for start in range(0, len(positions), _BLOCK):
-        block = positions[start : start + _BLOCK]
-        # (tuples, rearrangements): row-major order is enumeration order
-        dvals = np.column_stack(
-            [_phi_distances(p, _phi_block(p, block, order), cells) for _, order in scored]
-        )
-        if min_distance is None or dvals.min() < min_distance:
-            j, r = divmod(int(np.argmin(dvals)), len(scored))
-            min_distance = int(dvals[j, r])
-            witness = _pattern(p, 1, tuple(block[j].tolist()), scored[r][0])
+    if dvals.size:
+        j, r = divmod(int(np.argmin(dvals)), len(scored))
+        min_distance = int(dvals[j, r])
+        witness = _pattern(p, 1, tuple(positions[j].tolist()), scored[r][0])
     return MCase(
         m=m,
         candidates_enumerated=len(REARRANGEMENTS[m]) * per_rearrangement,
@@ -451,6 +519,7 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     rows = p - 1 if all_rows else 1
     m_cases: list[MCase] = []
     exclusions: list[BoundReport] = []
+    cells: Optional[np.ndarray] = None  # built once, for the first m searched
     # m = 6 stands for every m >= 6: all bounds grow with m, and the row
     # floor alone already reaches 6(p-1) > 6p-18 there.
     for m in range(3, 7):
@@ -458,7 +527,9 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
         if report.excluded or m not in REARRANGEMENTS:
             exclusions.append(report)
         else:
-            m_cases.append(_search_m(p, m, rows))
+            if cells is None:
+                cells = _distance_cells(p)
+            m_cases.append(_search_m(p, m, rows, cells))
     tw_value, tw = min_transposition_mf(make_group(GroupKind.cyclic(p)))
     searched = [c.min_distance for c in m_cases if c.min_distance is not None]
     delta = min([tw_value] + searched)

@@ -20,8 +20,10 @@ from cayleydist.errors import (
     UnsupportedM,
 )
 from cayleydist.search import (
+    _block_width,
     _combinations,
     _distance_cells,
+    _kernel_buffers,
     _lex_permutations,
     _pattern_table,
     _phi_block,
@@ -262,6 +264,78 @@ class TestCompleteFromRow:
         assert phi.shape == (11, 0)
         dvals = _phi_distances(11, phi, _distance_cells(11))
         assert dvals.dtype == np.intp and dvals.shape == (0,)
+
+
+class TestKernelArithmetic:
+    @pytest.mark.parametrize("p", [p for p in range(2, 128) if cd.is_prime(p)])
+    def test_min_reduction_is_mod_p(self, p):
+        # every sum s = phi(x) + phi(y) in 0..2p-2: in uint8, s - p wraps
+        # above s when s < p, so min(s, s - p) is s mod p, and its one
+        # comparison with phi(x + y) in 0..p-1 flags exactly the mismatches
+        s = np.arange(2 * p - 1, dtype=np.uint8)
+        wrapped = s - np.uint8(p)
+        assert (wrapped[:p] > s[:p]).all() and (wrapped[:p] != 0).all()
+        reduced = np.minimum(s, wrapped)
+        assert np.array_equal(reduced, np.arange(2 * p - 1) % p)
+        v = np.arange(p, dtype=np.uint8)
+        assert np.array_equal(reduced[:, None] != v, (np.arange(2 * p - 1) % p)[:, None] != v)
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37, 61, 127])
+    def test_block_width_keeps_buffers_below_mmap_threshold(self, p):
+        # each (cells, width) work array stays under glibc's default 128 KiB
+        # mmap threshold up to p = 31, and the width stays in 256..1024
+        cells = p * (p - 1) // 2
+        width = _block_width(cells)
+        assert 256 <= width <= 1024
+        assert width == min(max(126_000 // cells, 256), 1024)
+        if p <= 31:
+            assert cells * width < 128 * 1024
+        if p == 127:
+            assert width == 256
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_buffers_reused_across_blocks(self, m):
+        # a 7-tuple block, then a 3-tuple block of other tuples, through
+        # the same buffers, which start out full of 255: nothing stale may
+        # leak into the second, so both match a fresh call and hom_distance
+        p = 13
+        z13 = cyclic(p)
+        cells = _distance_cells(p)
+        buffers = _kernel_buffers(cells.shape[1], 7)
+        for buf in buffers:
+            buf.fill(255)
+        table = _pattern_table(p, m)
+        order = _piece_order(search.REARRANGEMENTS[m][0])
+        for block in (table[:7], table[-3:]):
+            phi = _phi_block(p, block, order)
+            out = np.full(len(block), 999, dtype=np.uint16)
+            got = _phi_distances(p, phi, cells, buffers, out)
+            assert got is out
+            assert np.array_equal(out, _phi_distances(p, phi, cells))
+            for k in range(len(block)):
+                f = cd.Permutation(tuple(phi[:, k].tolist()))
+                assert out[k] == cd.hom_distance(f, z13, z13)
+
+    def test_kernel_at_largest_p(self):
+        # at p = 127 the 7875 upper cells span 31 chunks of at most 255 rows,
+        # and s reaches 2(p - 1) = 252: a few patterns, walked by the
+        # oracle, through the search's buffers against hom_distance
+        p = 127
+        z127 = cyclic(p)
+        cells = _distance_cells(p)
+        assert math.ceil((cells.shape[1] - (p - 1)) / 255) == 31
+        table = _pattern_table(p, 3)
+        middle = len(table) // 2
+        positions = np.concatenate((table[:3], table[middle : middle + 2], table[-3:]))
+        nxt = search.REARRANGEMENTS[3][0]
+        phi, ok = oracle_complete_block(p, 1, positions, positions[:, list(nxt)])
+        assert ok.all() and np.array_equal(_phi_block(p, positions, _piece_order(nxt)), phi)
+        buffers = _kernel_buffers(cells.shape[1], _block_width(cells.shape[1]))
+        out = np.empty(len(positions), dtype=np.uint16)
+        _phi_distances(p, phi, cells, buffers, out)
+        for k in range(len(positions)):
+            f = cd.Permutation(tuple(phi[:, k].tolist()))
+            assert out[k] == cd.hom_distance(f, z127, z127) >= 6 * p - 18
 
 
 class TestSegmentRule:
@@ -506,7 +580,9 @@ class TestPositionTable:
     @pytest.mark.parametrize(
         "p, m",
         [(p, m) for p in filter(cd.is_prime, range(11, 62)) for m in (3, 4)]
-        + [(p, 5) for p in PRIMES],
+        + [(p, 5) for p in PRIMES]
+        + [(p, m) for p in (11, 13) for m in (2, 6)]
+        + [(127, 3)],
     )
     def test_pattern_table_matches_oracle(self, p, m):
         # the gap rule keeps what the orbit comparison at the first
@@ -516,13 +592,13 @@ class TestPositionTable:
 
     @pytest.mark.parametrize("p", [11, 31, 127])
     def test_distance_cells_match_triu_indices(self, p):
-        x, y = np.triu_indices(p - 1, k=1)
-        x, y = x + 1, y + 1
-        diag = np.arange(1, p)
-        expected = (diag, diag, 2 * diag % p), (x, y, (x + y) % p)
+        # one (3, cells) index array, the diagonal first: intp indices in
+        # 0..p-1, which is what lets the kernel gather with mode="clip"
+        pairs = [(x, x) for x in range(1, p)] + list(itertools.combinations(range(1, p), 2))
+        expected = np.array([(x, y, (x + y) % p) for x, y in pairs]).T
         cells = _distance_cells(p)
-        for got, want in zip(itertools.chain(*cells), itertools.chain(*expected)):
-            assert got.dtype == np.intp and np.array_equal(got, want)
+        assert cells.dtype == np.intp and np.array_equal(cells, expected)
+        assert cells.min() >= 0 and cells.max() <= p - 1
 
     def test_search_refuses_p_above_127(self):
         # uint8 positions and phi and the distance kernel's arithmetic are
@@ -574,12 +650,27 @@ class TestPrimeStabilityVerify:
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_block_size_keeps_mcase(self, monkeypatch, block):
-        # blocks split row 1's kept tuples, so the witness index must
-        # count the tuples of the earlier blocks (the m = 4 witness is
-        # tuple 7)
+        # blocks split row 1's kept tuples and share one set of kernel
+        # buffers, so the witness index must count the tuples of the
+        # earlier blocks (the m = 4 witness is tuple 7), and a partial last
+        # block (50 and 100 tuples in blocks of 4 and 7) must not read what
+        # a full block left in the buffers
         expected = [oracle_search_m(11, m, range(1, 11)) for m in (3, 4)]
-        monkeypatch.setattr(search, "_BLOCK", block)
+        monkeypatch.setattr(search, "_block_width", lambda cells: block)
+        built = []
+        real = search._phi_block
+
+        def recording(p, positions, order):
+            built.append(len(positions))
+            return real(p, positions, order)
+
+        monkeypatch.setattr(search, "_phi_block", recording)
         assert [_search_m(11, m, 10) for m in (3, 4)] == expected
+        sizes = [len(_pattern_table(11, m)) for m in (3, 4)]
+        assert built == [
+            min(block, size - start) for size in sizes for start in range(0, size, block)
+        ]
+        assert block == 1 or any(size % block for size in sizes)
 
     def test_m4_searched_directly_at_23(self):
         # With l = 2 the bounds leave m = 4 open at p = 23 (118 < 120), so
