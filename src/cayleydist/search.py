@@ -376,25 +376,28 @@ def _phi_block(p: int, positions: np.ndarray, order: tuple[int, ...]) -> np.ndar
     return np.ascontiguousarray(phi.T)
 
 
+@lru_cache(maxsize=32)  # one entry for each prime up to _MAX_SEARCH_P
 def _distance_cells(p: int) -> np.ndarray:
     """The cells (x, y, (x + y) % p) that _phi_distances checks, as the
-    rows of a (3, p(p-1)/2) intp index array: first the diagonal
+    rows of a read-only (3, p(p-1)/2) intp index array: first the diagonal
     0 < x = y, then the pairs 0 < x < y in lexicographic order.  Every
-    index is in 0..p-1, so the kernel's gathers may skip the bounds check."""
+    index is in 0..p-1, so the kernel's gathers may skip the bounds check.
+    A search at p builds them once, for every block and every m."""
     cells = np.empty((3, p * (p - 1) // 2), dtype=np.intp)
     cells[:2, : p - 1] = np.arange(1, p)
     cells[:2, p - 1 :] = np.triu_indices(p - 1, k=1)
     cells[:2, p - 1 :] += 1
     np.add(cells[0], cells[1], out=cells[2])
     cells[2] %= p
+    cells.setflags(write=False)  # shared by every caller of the cache
     return cells
 
 
 def _block_width(cells: int) -> int:
     """Position tuples per block of the search, for a kernel that checks
-    `cells` cells: _WORK_BYTES // cells, at least 256, so a large p still
-    scores wide blocks, and at most 1024."""
-    return min(max(_WORK_BYTES // cells, 256), 1024)
+    `cells` cells: _WORK_BYTES // cells, and at least 256, so a large p
+    still scores wide blocks."""
+    return max(_WORK_BYTES // cells, 256)
 
 
 def _kernel_buffers(cells: int, width: int) -> tuple[np.ndarray, ...]:
@@ -409,7 +412,6 @@ def _kernel_buffers(cells: int, width: int) -> tuple[np.ndarray, ...]:
 def _phi_distances(
     p: int,
     phi: np.ndarray,
-    cells: np.ndarray,
     buffers: Optional[tuple[np.ndarray, ...]] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -434,6 +436,7 @@ def _phi_distances(
     rows sums its mismatches in uint8, and p(p - 1) < 2**16 bounds the
     uint16 total.
     """
+    cells = _distance_cells(p)
     n, width = cells.shape[1], phi.shape[1]
     if buffers is None:
         buffers = _kernel_buffers(n, width)
@@ -456,11 +459,11 @@ def _phi_distances(
     return np.add(upper, bad[: p - 1].sum(axis=0, dtype=np.uint8, out=chunk), out=out)
 
 
-def _search_m(p: int, m: int, rows: int, cells: Optional[np.ndarray] = None) -> MCase:
+def _search_m(p: int, m: int, rows: int) -> MCase:
     """Search every pattern of the rows h = 1..rows by scoring each
     completing rearrangement at row 1's kept position tuples (one of each
     orbit of _pattern_table) once, in enumeration order and in blocks of
-    _block_width tuples, over cells, which defaults to _distance_cells(p).
+    _block_width tuples.
 
     Whether a pattern completes depends on its rearrangement alone (see
     _piece_order), so C(p-1, m) patterns of each row complete per
@@ -468,9 +471,10 @@ def _search_m(p: int, m: int, rows: int, cells: Optional[np.ndarray] = None) -> 
     on row h completes exactly when pattern j on row 1 does, with
     phi_h = h phi_1, at the same distance.  So each row adds row 1's counts.
     Rows come in order, so the first minimizer is row 1's first minimizer.
-    The kernel reuses one set of buffers for every block and writes each
-    distance into a (tuples, rearrangements) array, whose row-major order
-    is enumeration order, so one argmin over it finds the first minimizer.
+    The kernel reuses one set of buffers, sized for the widest block, for
+    every block and writes each distance into a (tuples, rearrangements)
+    array, whose row-major order is enumeration order, so one argmin over
+    it finds the first minimizer.
     The rest of an orbit is always later than the tuple scored for it, so
     that is the first minimizer of the whole family.  A p above
     _MAX_SEARCH_P is refused, since the search's arithmetic is exact only
@@ -480,16 +484,15 @@ def _search_m(p: int, m: int, rows: int, cells: Optional[np.ndarray] = None) -> 
     scored = [(nxt, o) for nxt in REARRANGEMENTS[m] if (o := _piece_order(nxt)) is not None]
     positions = _pattern_table(p, m) if scored else np.zeros((0, m), dtype=np.uint8)
     per_rearrangement = math.comb(p - 1, m) * rows
-    if cells is None:
-        cells = _distance_cells(p)
-    width = _block_width(cells.shape[1])
-    buffers = _kernel_buffers(cells.shape[1], width)
+    n = _distance_cells(p).shape[1]
+    width = _block_width(n)
+    buffers = _kernel_buffers(n, min(width, len(positions)))
     dvals = np.empty((len(positions), len(scored)), dtype=np.uint16)
     for start in range(0, len(positions), width):
         block = positions[start : start + width]
         for r, (_, order) in enumerate(scored):
             phi = _phi_block(p, block, order)
-            _phi_distances(p, phi, cells, buffers, dvals[start : start + width, r])
+            _phi_distances(p, phi, buffers, dvals[start : start + width, r])
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
     if dvals.size:
@@ -519,7 +522,6 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     rows = p - 1 if all_rows else 1
     m_cases: list[MCase] = []
     exclusions: list[BoundReport] = []
-    cells: Optional[np.ndarray] = None  # built once, for the first m searched
     # m = 6 stands for every m >= 6: all bounds grow with m, and the row
     # floor alone already reaches 6(p-1) > 6p-18 there.
     for m in range(3, 7):
@@ -527,9 +529,7 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
         if report.excluded or m not in REARRANGEMENTS:
             exclusions.append(report)
         else:
-            if cells is None:
-                cells = _distance_cells(p)
-            m_cases.append(_search_m(p, m, rows, cells))
+            m_cases.append(_search_m(p, m, rows))
     tw_value, tw = min_transposition_mf(make_group(GroupKind.cyclic(p)))
     searched = [c.min_distance for c in m_cases if c.min_distance is not None]
     delta = min([tw_value] + searched)

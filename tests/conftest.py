@@ -556,13 +556,12 @@ def oracle_search_m(p: int, m: int, rows) -> search.MCase:
     every pattern of every row in rows is walked by oracle_complete_block,
     and each that completes is scored, in enumeration order."""
     positions, sources, nxts = oracle_family(p, m)
-    cells = search._distance_cells(p)
     completing = 0
     min_distance = None
     witness = None
     for h in rows:
         phi, ok = oracle_complete_block(p, h, positions, sources)
-        dvals = search._phi_distances(p, phi[:, ok], cells)
+        dvals = search._phi_distances(p, phi[:, ok])
         completing += len(dvals)
         if len(dvals) and (min_distance is None or dvals.min() < min_distance):
             k = int(np.argmin(dvals))
