@@ -2,9 +2,9 @@
 
 Two kinds of machinery live here: the single-row pattern search that pins
 down the stability of prime-order cyclic groups at every prime p > 7, and the
-small-order brute-force oracle that enumerates every group table on
-{0..n-1} by transporting each catalog group G through one permutation per
-coset of Aut(G).
+small-order brute-force oracle that lists every group table on {0..n-1}
+as one permutation per coset of Aut(G) of a catalog group G, with its
+distance to each canonical table.
 
 Whether a pattern completes to a group depends on its rearrangement
 alone (see _piece_order), so the search counts the family by formula and
@@ -40,6 +40,7 @@ from .group_core import (
     groups_of_order,
     is_prime,
     make_group,
+    transport,
     validate_table,
 )
 from .metric import BoundReport, analytic_lower_bound, check_prime_above_7, min_transposition_mf
@@ -56,10 +57,10 @@ _WORK_BYTES = 126_000
 # (2(p - 1) <= 255).
 _MAX_SEARCH_P = 127
 
-# Coset representatives per block of all_group_tables.  Bounds its
-# temporaries, the (block, n*n) tables, gather index and mismatch mask, to
-# well under 1 MiB at n = 8, beside the coset representatives it keeps.
-_TABLE_BLOCK = 1024
+# Coset representatives per block of all_group_tables.  Its (n*n, block)
+# 8-byte lookup index and hits take 512 KiB at n = 8, and its tracemalloc
+# peak exceeds what it keeps by about 1.3 MiB (1.8 MiB at 1024).
+_TABLE_BLOCK = 512
 
 SCOPE_ALIASES = {
     "all": "all",
@@ -558,20 +559,19 @@ def _lex_permutations(n: int) -> np.ndarray:
     return perms
 
 
-def _transport_block(
-    table: np.ndarray, reps: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The transports f(G[f^-1 a][f^-1 b]) of the flat (n*n,) table G by
-    each row f of the (b, n) uint8 array reps, as a (b, n*n) uint8 array,
-    written to out when it is given."""
-    b, n = reps.shape
-    rows = np.arange(b)[:, None]
-    rinv = np.empty_like(reps)
-    rinv[rows, reps] = np.arange(n, dtype=np.uint8)  # the inverse of each f, by scatter
-    # Flat index of the cell (f^-1 a, f^-1 b) in an (n, n) table, and of the
-    # row of f in reps; n*n <= 64 keeps the first in uint8.
-    cell_idx = (rinv[:, :, None] * np.uint8(n) + rinv[:, None, :]).reshape(b, n * n)
-    return reps.take(table.take(cell_idx) + rows * n, out=out)
+def _mismatch_lookup(bases: Sequence[np.ndarray]) -> np.ndarray:
+    """The n**3 uint64 entries L[u n^2 + v n + w] whose byte k is
+    [bases[k][u, v] != w], for (n, n) tables bases.  Entries summed over
+    the n^2 cells of a table add byte by byte, whatever the byte order, as
+    long as no byte's count (at most n^2) carries: so for at most 8 tables
+    with n^2 <= 255.  Beyond either it raises rather than let counts wrap."""
+    n = len(bases[0])
+    if len(bases) > 8 or n * n > 255:
+        raise OrderTooLarge(f"at most 8 kinds of order n with n^2 <= 255, got {len(bases)} at {n}")
+    packed = np.zeros((n, n, n, 8), dtype=np.uint8)
+    for k, base in enumerate(bases):
+        packed[..., k] = base[:, :, None] != np.arange(n)
+    return packed.reshape(-1).view(np.uint64)
 
 
 @lru_cache(maxsize=4)
@@ -581,19 +581,21 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     distance from each canonical table, all in one cache entry.
 
     Returns (reps (N, n) uint8, labels (N,) int, kinds, dists
-    (len(kinds), N) uint8).  Table i is the transport
-    f(G[f^-1 a][f^-1 b]) of G = make_group(kinds[labels[i]]) by
-    f = reps[i], and dists[k, i] counts the cells where it differs from
-    make_group(kinds[k]) (n * n <= 64 keeps it in uint8).  All three
-    arrays are read-only, since every caller shares them through the
-    cache.  Tables come kind by kind in catalog order and within a kind in
-    the lexicographic order of f.  Two f give one table iff they lie in one
-    coset f Aut(G), so each kind has n! / |Aut(G)| tables, and reps[i] is
-    the first f of table i's coset: its n bytes stand for the n * n cells.
+    (len(kinds), N) uint8), all read-only, since every caller shares them
+    through the cache.  Table i is the transport T[f x, f y] = f(G[x, y])
+    of G = make_group(kinds[labels[i]]) by f = reps[i].  Tables come kind
+    by kind in catalog order and within a kind in the lexicographic order
+    of f.  Two f give one table iff they lie in one coset f Aut(G), so each
+    kind has n! / |Aut(G)| tables, and reps[i] is the first f of table i's
+    coset: its n bytes stand for the n * n cells.
 
-    The tables are built _TABLE_BLOCK coset representatives at a time,
-    into one reused buffer, only to fill their columns of dists, so the
-    temporaries beside the result are bounded by the block, not by N.
+    No table is built.  Substituting a = f x, b = f y in the count over the
+    cells (a, b), dists[k, i] = #{(x, y) : B_k[f x, f y] != f(G[x, y])} for
+    B_k = make_group(kinds[k]): a sum over the n^2 cells (x, y) of byte k
+    of _mismatch_lookup's L[f(x) n^2 + f(y) n + f(G[x, y])], so one gather
+    and one sum count every kind.  Blocks of _TABLE_BLOCK representatives,
+    transposed to (n, block) so that each gather takes whole rows, go
+    through buffers allocated once, sized by the block, not by N.
     """
     kinds = tuple(groups_of_order(n))
     perms = _lex_permutations(n)
@@ -616,16 +618,23 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     labels = np.repeat(np.arange(len(kinds)), counts)
     reps = perms[np.concatenate(reps_of)]
     dists = np.empty((len(kinds), len(labels)), dtype=np.uint8)
-    bases = [g.array.astype(np.uint8).reshape(-1) for g in groups]
-    buf = np.empty((min(_TABLE_BLOCK, len(labels)), n * n), dtype=np.uint8)
-    lo = 0
-    for table, count in zip(bases, counts):
-        for start in range(lo, lo + count, _TABLE_BLOCK):
-            stop = min(start + _TABLE_BLOCK, lo + count)
-            block = _transport_block(table, reps[start:stop], out=buf[: stop - start])
-            for base, row in zip(bases, dists):
-                row[start:stop] = (block != base).sum(axis=1, dtype=np.uint8)
-        lo += count
+    lookup = _mismatch_lookup([g.array for g in groups])
+    width = min(_TABLE_BLOCK, len(labels))
+    # f, f n^2 and f n as (n, block); the lookup index and its hits as (n^2, block)
+    bufs = [np.empty(rows * width, dtype=np.intp) for rows in (n, n, n, n * n, n * n)]
+    sums = np.empty(width, dtype=np.uint64)
+    ends = np.cumsum(counts).tolist()
+    for g, lo, hi in zip(groups, [0] + ends, ends):
+        for start in range(lo, hi, _TABLE_BLOCK):
+            b = min(_TABLE_BLOCK, hi - start)
+            f, fnn, fn, idx, hits = (buf[: len(buf) // width * b].reshape(-1, b) for buf in bufs)
+            np.copyto(f, reps[start : start + b].T)
+            np.multiply(f, n, out=fn)
+            np.add(np.multiply(fn, n, out=fnn)[:, None], fn, out=idx.reshape(n, n, b))
+            np.add(idx, np.take(f, g.array.ravel(), axis=0, out=hits, mode="clip"), out=idx)
+            hits = np.take(lookup, idx, out=hits.view(np.uint64), mode="clip")
+            total = np.sum(hits, axis=0, out=sums[:b])
+            dists[:, start : start + b] = total.view(np.uint8).reshape(b, 8)[:, : len(kinds)].T
     for arr in (reps, labels, dists):
         arr.setflags(write=False)  # shared by every caller of the cache
     return reps, labels, kinds, dists
@@ -655,9 +664,8 @@ def _scope(n: int, scope: str) -> str:
 
 def _kind_minimum(kind: GroupKind, scope: str) -> tuple[int, int]:
     """The least distance from the canonical table of `kind` to a table of
-    the resolved scope, and the index in all_group_tables of the first
-    table at it; O(N) mask and argmin work over the kind's row of dists,
-    and no table is built."""
+    the resolved scope, and the all_group_tables index of the first table
+    at it, by one mask and argmin over the kind's row of dists."""
     n = kind.order
     _, labels, kinds, dists = all_group_tables(n)
     try:
@@ -683,22 +691,18 @@ def kind_stability(
     """Minimum distance from the canonical table of `kind` to any other
     table on the same set, restricted by scope (all / mu / nu).
 
-    Valid for the per-group stability values: distance is invariant under
-    transporting both tables by the same permutation, so minimizing with
-    the canonical representative fixed loses nothing.  The distances are
-    the kind's row of all_group_tables' dists, so a call is O(N) mask and
-    argmin work.  The witness is the canonical table and the first table,
-    in all_group_tables order, at the minimum: the one table the call
-    builds, from its coset representative, and validates.  allow_slow does
-    nothing; it stays only because the benchmark workloads still pass it.
+    Distance is invariant under transporting both tables by the same
+    permutation, so fixing the canonical table loses nothing.  The value is
+    read from the kind's row of all_group_tables' dists.  The witness's
+    other table, the first at the value, is the one table built, by
+    transport from its coset representative, and validated.  allow_slow
+    does nothing; it stays only because the benchmark workloads pass it.
     """
     n = kind.order
     value, j = _kind_minimum(kind, _scope(n, scope))
     reps, labels, kinds, _ = all_group_tables(n)
-    base = make_group(kind)
-    source = base if kinds[labels[j]] == kind else make_group(kinds[labels[j]])
-    cells = _transport_block(source.array.ravel(), reps[j : j + 1])
-    return value, (base, validate_table(cells.reshape(n, n)))
+    moved = transport(make_group(kinds[labels[j]]), Permutation(tuple(reps[j].tolist())))
+    return value, (make_group(kind), validate_table(moved.array))
 
 
 def brute_delta(
@@ -709,13 +713,9 @@ def brute_delta(
     non-isomorphic-only (nu).
 
     Every pair is a transport of a pair whose first table is canonical,
-    and distance is invariant under transport, so this is the minimum of
-    kind_stability over the kinds of order n.  Each kind's minimum is read
-    from its row of all_group_tables' dists without building a table, and
-    only the first kind, in groups_of_order order, to reach the least one
-    builds its witness from that table's coset representative and
-    validates it, in one kind_stability call.  allow_slow does nothing; it
-    stays only because the benchmark workloads still pass it.
+    and transport keeps distance, so this is the least kind_stability over
+    the kinds of order n.  Only the first kind, in groups_of_order order,
+    at the least builds its witness.  allow_slow does nothing, as there.
     """
     scope = _scope(n, scope)
     kinds = groups_of_order(n)

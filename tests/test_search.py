@@ -567,11 +567,26 @@ class TestPositionTable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [11, 13, 31, 61, 127])
     def test_combinations_match_itertools(self, p, k):
+        # C(p-1, k) strictly increasing rows within 1..p-1 whose lexicographic
+        # ranks are 0, 1, 2, ... are exactly itertools.combinations(range(1,
+        # p), k) in its order, without building those rows.  The rank of
+        # c_1 < ... < c_k, with N = p-1, is C(N, k) - 1 - sum_i C(N-c_i, k-i+1):
+        # the combinatorial-number-system rank of the complements N - c_i,
+        # which reverses the order.  Checked in chunks, so p = 127, k = 4
+        # (10 M rows) needs no second copy of the table.
         count = math.comb(p - 1, k)
-        flat = itertools.chain.from_iterable(itertools.combinations(range(1, p), k))
-        expected = np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
         combos = _combinations(p, k)
-        assert combos.dtype == np.uint8 and np.array_equal(combos, expected)
+        assert combos.dtype == np.uint8 and combos.shape == (count, k)
+        # binom[j][c] = C(N - c, j), for every c in 0..p-1
+        binom = [np.array([math.comb(p - 1 - c, j) for c in range(p)]) for j in range(k + 1)]
+        for lo in range(0, count, 2**20):
+            chunk = combos[lo : lo + 2**20]
+            assert (chunk[:, 0] >= 1).all() and (chunk[:, -1] <= p - 1).all()
+            assert (chunk[:, 1:] > chunk[:, :-1]).all()
+            ranks = binom[k].take(chunk[:, 0])
+            for i in range(1, k):
+                ranks += binom[k - i].take(chunk[:, i])
+            assert np.array_equal(count - 1 - ranks, np.arange(lo, lo + len(chunk)))
 
     @pytest.mark.parametrize(
         "p, m",
@@ -888,6 +903,38 @@ class TestBruteDelta:
             sample = range(len(tables)) if n <= 7 else rng.sample(range(len(tables)), 2000)
             for i in sample:
                 assert dists[k, i] == cd.dist(base, cd.validate_table(tables[i])).total
+
+    def test_every_dist_at_order_8(self):
+        # all 5 x 22 080 entries, against the mismatch count of each table
+        # that expanded_tables builds by its own gather
+        _, _, kinds, dists = all_group_tables(8)
+        tables = expanded_tables(8)
+        for k, kind in enumerate(kinds):
+            base = cd.make_group(kind).array
+            assert np.array_equal(dists[k], (tables != base).sum(axis=(1, 2)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_catalog_fits_the_packed_lookup(self, n):
+        # one byte per kind in a uint64 entry, and a count of at most n^2
+        # per byte: at most 8 kinds and n^2 <= 255 at every catalog order
+        bases = [cd.make_group(kind).array for kind in cd.groups_of_order(n)]
+        lookup = search._mismatch_lookup(bases)
+        assert lookup.dtype == np.uint64 and lookup.shape == (n**3,)
+        u, v, w = np.unravel_index(np.arange(n**3), (n, n, n))
+        packed = lookup.view(np.uint8).reshape(n**3, 8)
+        for k, base in enumerate(bases):
+            assert np.array_equal(packed[:, k], base[u, v] != w)
+        assert not packed[:, len(bases) :].any()
+
+    def test_packed_lookup_refuses_what_would_wrap(self):
+        # 8 kinds fill the 8 bytes, and at n = 15 a count is at most 225;
+        # a ninth kind has no byte, and at n = 16 a count can reach 256
+        z2, z15, z16 = (cd.make_group(cd.GroupKind.cyclic(n)).array for n in (2, 15, 16))
+        search._mismatch_lookup([z2] * 8)
+        search._mismatch_lookup([z15])
+        for bases in ([z2] * 9, [z16]):
+            with pytest.raises(OrderTooLarge, match=r"at most 8 kinds of order n with n\^2 <= 255"):
+                search._mismatch_lookup(bases)
 
     @pytest.fixture
     def small_table_block(self, monkeypatch):
