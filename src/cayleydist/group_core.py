@@ -586,22 +586,26 @@ def _homs_from_generators(
     return f[hom & (f >= 0).all(axis=1) & ((f == b.identity).sum(axis=1) == 1)]
 
 
-def _isomorphisms(a: GroupTable, b: GroupTable) -> Iterator[Permutation]:
-    """Every isomorphism from a to b, each once, by exhaustive search over
-    the images of a's generating sequence: every tuple of same-order
-    images, extended to a map in one array walk, in itertools.product
-    order; none unless the order profiles agree.  Raises OrderTooLarge
-    above MAX_BRUTE_ORDER."""
+def _isomorphism_array(a: GroupTable, b: GroupTable) -> np.ndarray:
+    """Every isomorphism from a to b, each once, as the rows of a (K, a.n)
+    intp array, by exhaustive search over the images of a's generating
+    sequence: every tuple of same-order images, extended to a map in one
+    array walk, in itertools.product order; no row unless the order
+    profiles agree.  Raises OrderTooLarge above MAX_BRUTE_ORDER."""
     if a.n > MAX_BRUTE_ORDER:
         raise OrderTooLarge(f"isomorphism search capped at order {MAX_BRUTE_ORDER}, got {a.n}")
     if a.order_profile() != b.order_profile():
-        return
+        return np.empty((0, a.n), dtype=np.intp)
     gens = generating_sequence(a)
     candidates = [[x for x, o in enumerate(b.orders) if o == a.orders[g]] for g in gens]
     # Profiles agree, so each gen has a candidate: one row per product tuple.
     images = np.array(list(itertools.product(*candidates)), dtype=np.intp)
-    for f in _homs_from_generators(a, b, gens, images).tolist():
-        yield Permutation(tuple(f))
+    return _homs_from_generators(a, b, gens, images)
+
+
+def _isomorphisms(a: GroupTable, b: GroupTable) -> Iterator[Permutation]:
+    """The rows of _isomorphism_array(a, b), in order, as Permutations."""
+    return (Permutation(tuple(f)) for f in _isomorphism_array(a, b).tolist())
 
 
 def are_isomorphic(a: GroupTable, b: GroupTable) -> tuple[bool, Optional[Permutation]]:

@@ -34,7 +34,7 @@ from .group_core import (
     GroupKind,
     GroupTable,
     Permutation,
-    automorphisms,
+    _isomorphism_array,
     check_element,
     check_integer,
     groups_of_order,
@@ -57,10 +57,11 @@ _WORK_BYTES = 126_000
 # (2(p - 1) <= 255).
 _MAX_SEARCH_P = 127
 
-# Coset representatives per block of all_group_tables.  Its (n*n, block)
-# 8-byte lookup index and hits take 512 KiB at n = 8, and its tracemalloc
-# peak exceeds what it keeps by about 1.3 MiB (1.8 MiB at 1024).
+# Coset representatives per block of all_group_tables.  At n = 8 its tracemalloc
+# peak exceeds what it keeps by about 0.74 MiB (1.18 MiB at 1024).
 _TABLE_BLOCK = 512
+
+Witnessed = tuple[int, tuple[GroupTable, GroupTable]]  # a least distance and a pair at it
 
 SCOPE_ALIASES = {
     "all": "all",
@@ -464,7 +465,8 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
     """Search every pattern of the rows h = 1..rows by scoring each
     completing rearrangement at row 1's kept position tuples (one of each
     orbit of _pattern_table) once, in enumeration order and in blocks of
-    _block_width tuples.
+    _block_width tuples.  m counts the cells where row 1 differs from
+    Z_p's, which is the bounds' m by x -> kx (see prime_stability_verify).
 
     Whether a pattern completes depends on its rearrangement alone (see
     _piece_order), so C(p-1, m) patterns of each row complete per
@@ -518,6 +520,12 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
 
     Only the row h = 1 is modified.  all_rows, which only the benchmark
     workloads still pass, multiplies its counts by p - 1 (see _search_m).
+    The bounds take m as the least, over rows h != 0, of the cells where
+    row h of a table T differs from Z_p's; the search's m counts row 1's.
+    If row h is least, x -> kx (k = h^-1 mod p) is an automorphism of Z_p,
+    so T's transport T' by it is as far from Z_p, and T'[kx, ky] = k T[x, y],
+    kx + ky = k(x + y): row kx of T' differs as row x of T, so row 1 is least
+    and the search of row 1 at m covers T.
     """
     p = check_prime_above_7(p)
     rows = p - 1 if all_rows else 1
@@ -545,17 +553,20 @@ def prime_stability_verify(p: int, all_rows: bool = False) -> VerificationReport
     )
 
 
-def _lex_permutations(n: int) -> np.ndarray:
-    """All n! permutations of 0..n-1 as an (n!, n) uint8 array, in the
-    lexicographic order of itertools.permutations(range(n))."""
+def _ordered_permutations(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The permutations f of 0..n-1 with f(i) < f(j) for every pair i < j
+    of pairs, as an (R, n) uint8 array in itertools.permutations order.
+    Built from the right, a row being f's relative order on columns i..n-1:
+    each first value v in turn, then the rest mapped by r -> r + [r >= v],
+    which keeps its pairs.  f(i) < f(j) iff the rest is >= v at column j,
+    so a row takes only the v up to its least at the columns paired with i."""
     perms = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, n + 1):
-        # Each first value i, then the permutations of k-1 values in order,
-        # mapped onto 0..k-1 without i.
-        first = np.repeat(np.arange(k, dtype=np.uint8), len(perms))
-        rest = np.tile(perms, (k, 1))
+    for i in reversed(range(n)):
+        low = perms[:, [b - i - 1 for a, b in pairs if a == i]].min(axis=1, initial=n - i)
+        first, row = np.nonzero(low >= np.arange(n - i)[:, None])  # by first value, then row
+        rest = perms[row]
         rest += rest >= first[:, None]
-        perms = np.column_stack((first, rest))
+        perms = np.column_stack((first.astype(np.uint8), rest))
     return perms
 
 
@@ -587,54 +598,55 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     by kind in catalog order and within a kind in the lexicographic order
     of f.  Two f give one table iff they lie in one coset f Aut(G), so each
     kind has n! / |Aut(G)| tables, and reps[i] is the first f of table i's
-    coset: its n bytes stand for the n * n cells.
+    coset: its n bytes stand for the n * n cells.  f is before f.alpha iff
+    f(i) < f(alpha(i)) at the first point i that alpha moves (alpha(i) > i,
+    as alpha fixes the points below i), so _ordered_permutations builds
+    just the reps from those pairs (i, alpha(i)).
 
     No table is built.  Substituting a = f x, b = f y in the count over the
     cells (a, b), dists[k, i] = #{(x, y) : B_k[f x, f y] != f(G[x, y])} for
     B_k = make_group(kinds[k]): a sum over the n^2 cells (x, y) of byte k
     of _mismatch_lookup's L[f(x) n^2 + f(y) n + f(G[x, y])], so one gather
-    and one sum count every kind.  Blocks of _TABLE_BLOCK representatives,
-    transposed to (n, block) so that each gather takes whole rows, go
-    through buffers allocated once, sized by the block, not by N.
+    and one sum count every kind.  Only the cells with x, y != 0 are
+    gathered: G and B_k have identity 0, so the 2n - 1 others compare
+    B_k[f 0, f y] with f y, or B_k[f x, f 0] with f x, which agree iff
+    f 0 = 0, B_k being a Latin square.  Blocks of _TABLE_BLOCK reps, held
+    as (n, block) so that each gather takes whole rows, go through buffers
+    allocated once.
     """
     kinds = tuple(groups_of_order(n))
-    perms = _lex_permutations(n)
     groups = [make_group(kind) for kind in kinds]
     reps_of = []
     for g in groups:
-        # f is lexicographically before f.alpha iff f(i) < f(alpha(i)) at
-        # the first point i that alpha moves; f is first in its coset iff
-        # that holds for every automorphism alpha != id.
-        pairs = {
-            next((i, v) for i, v in enumerate(alpha.image) if v != i)
-            for alpha in automorphisms(g)
-            if not alpha.is_identity()
-        }
-        keep = np.ones(len(perms), dtype=bool)
-        for i, j in pairs:
-            keep &= perms[:, i] < perms[:, j]
-        reps_of.append(np.flatnonzero(keep))
-    counts = [len(idx) for idx in reps_of]
+        aut = _isomorphism_array(g, g)
+        first = (aut != np.arange(n)).argmax(axis=1)  # 0 for alpha = id, which has no pair
+        pairs = np.column_stack((first, aut[np.arange(len(aut)), first]))
+        reps_of.append(_ordered_permutations(n, pairs[pairs[:, 0] != pairs[:, 1]].tolist()))
+    counts = [len(r) for r in reps_of]
     labels = np.repeat(np.arange(len(kinds)), counts)
-    reps = perms[np.concatenate(reps_of)]
+    reps = np.concatenate(reps_of)
     dists = np.empty((len(kinds), len(labels)), dtype=np.uint8)
     lookup = _mismatch_lookup([g.array for g in groups])
     width = min(_TABLE_BLOCK, len(labels))
-    # f, f n^2 and f n as (n, block); the lookup index and its hits as (n^2, block)
-    bufs = [np.empty(rows * width, dtype=np.intp) for rows in (n, n, n, n * n, n * n)]
+    # f as (n, block), f n at x != 0 as (n - 1, block); the lookup index
+    # and its hits, which first hold f n^2, as ((n - 1)^2, block)
+    bufs = [np.empty(r * width, dtype=np.intp) for r in (n, n - 1, (n - 1) ** 2, (n - 1) ** 2)]
     sums = np.empty(width, dtype=np.uint64)
     ends = np.cumsum(counts).tolist()
     for g, lo, hi in zip(groups, [0] + ends, ends):
+        cells = g.array[1:, 1:].ravel()
         for start in range(lo, hi, _TABLE_BLOCK):
             b = min(_TABLE_BLOCK, hi - start)
-            f, fnn, fn, idx, hits = (buf[: len(buf) // width * b].reshape(-1, b) for buf in bufs)
+            f, fn, idx, hits = (buf[: len(buf) // width * b].reshape(-1, b) for buf in bufs)
             np.copyto(f, reps[start : start + b].T)
-            np.multiply(f, n, out=fn)
-            np.add(np.multiply(fn, n, out=fnn)[:, None], fn, out=idx.reshape(n, n, b))
-            np.add(idx, np.take(f, g.array.ravel(), axis=0, out=hits, mode="clip"), out=idx)
+            np.multiply(f[1:], n, out=fn)
+            fnn = np.multiply(fn, n, out=hits[: n - 1])
+            np.add(fnn[:, None], fn, out=idx.reshape(n - 1, n - 1, b))
+            np.add(idx, np.take(f, cells, axis=0, out=hits, mode="clip"), out=idx)
             hits = np.take(lookup, idx, out=hits.view(np.uint64), mode="clip")
             total = np.sum(hits, axis=0, out=sums[:b])
             dists[:, start : start + b] = total.view(np.uint8).reshape(b, 8)[:, : len(kinds)].T
+    dists += np.uint8(2 * n - 1) * (reps[:, 0] != 0)  # row 0 and column 0
     for arr in (reps, labels, dists):
         arr.setflags(write=False)  # shared by every caller of the cache
     return reps, labels, kinds, dists
@@ -662,62 +674,46 @@ def _scope(n: int, scope: str) -> str:
     return resolved
 
 
-def _kind_minimum(kind: GroupKind, scope: str) -> tuple[int, int]:
-    """The least distance from the canonical table of `kind` to a table of
-    the resolved scope, and the all_group_tables index of the first table
-    at it, by one mask and argmin over the kind's row of dists."""
-    n = kind.order
-    _, labels, kinds, dists = all_group_tables(n)
-    try:
-        base_label = kinds.index(kind)
-    except ValueError:
+def _stability(n: int, scope: str, kind: Optional[GroupKind] = None) -> Witnessed:
+    """The least distance from the canonical table of `kind` (by default,
+    of the first kind at the least over the kinds of order n) to a table of
+    the scope, and its witness pair, by one argmin over those kinds' rows of
+    dists less 1 in uint8: 255 for the canonical table and each table out of
+    scope, above any other (n^2 - 1 < 255).  The witness's other table is
+    the one table built, by transport from its coset representative."""
+    reps, labels, kinds, dists = all_group_tables(n)
+    if kind is not None and kind not in kinds:
         raise InputError(f"{kind} is not a group of order {n} in the catalog")
-    diffs = dists[base_label]
-    if scope == "mu":
-        mask = (labels == base_label) & (diffs > 0)
-    elif scope == "nu":
-        mask = labels != base_label
-    else:
-        mask = diffs > 0
-    if not mask.any():
+    ks = range(len(kinds)) if kind is None else [kinds.index(kind)]
+    ends = np.searchsorted(labels, range(len(kinds) + 1))  # kind k is ends[k]:ends[k + 1]
+    less = dists[ks] - np.uint8(1)
+    for row, k in zip(less, ks):
+        if scope == "mu":
+            row[: ends[k]] = row[ends[k + 1] :] = 255
+        elif scope == "nu":
+            row[ends[k] : ends[k + 1]] = 255
+    first, least = less.argmin(axis=1), less.min(axis=1)
+    r = int(np.argmin(least))  # the first kind at the least
+    if least[r] == 255:
         raise InputError(f"no table satisfies scope {scope!r} at order {n}")
-    j = int(np.argmin(np.where(mask, diffs, n * n + 1)))
-    return int(diffs[j]), j
-
-
-def kind_stability(
-    kind: GroupKind, scope: str = "all", allow_slow: bool = False
-) -> tuple[int, tuple[GroupTable, GroupTable]]:
-    """Minimum distance from the canonical table of `kind` to any other
-    table on the same set, restricted by scope (all / mu / nu).
-
-    Distance is invariant under transporting both tables by the same
-    permutation, so fixing the canonical table loses nothing.  The value is
-    read from the kind's row of all_group_tables' dists.  The witness's
-    other table, the first at the value, is the one table built, by
-    transport from its coset representative, and validated.  allow_slow
-    does nothing; it stays only because the benchmark workloads pass it.
-    """
-    n = kind.order
-    value, j = _kind_minimum(kind, _scope(n, scope))
-    reps, labels, kinds, _ = all_group_tables(n)
+    j = first[r]
     moved = transport(make_group(kinds[labels[j]]), Permutation(tuple(reps[j].tolist())))
-    return value, (make_group(kind), validate_table(moved.array))
+    return int(least[r]) + 1, (make_group(kinds[ks[r]]), validate_table(moved.array))
 
 
-def brute_delta(
-    n: int, scope: str = "all", allow_slow: bool = False
-) -> tuple[int, tuple[GroupTable, GroupTable]]:
+def kind_stability(kind: GroupKind, scope: str = "all", allow_slow: bool = False) -> Witnessed:
+    """Minimum distance from the canonical table of `kind` to any other
+    table on the same set, restricted by scope (all / mu / nu), with a
+    witness pair (see _stability).  allow_slow does nothing; it stays only
+    because the benchmark workloads pass it."""
+    return _stability(kind.order, _scope(kind.order, scope), kind)
+
+
+def brute_delta(n: int, scope: str = "all", allow_slow: bool = False) -> Witnessed:
     """Exact minimum distance over all pairs of distinct group tables on
     {0..n-1}, restricted by scope: all pairs, isomorphic-only (mu), or
-    non-isomorphic-only (nu).
-
-    Every pair is a transport of a pair whose first table is canonical,
-    and transport keeps distance, so this is the least kind_stability over
-    the kinds of order n.  Only the first kind, in groups_of_order order,
-    at the least builds its witness.  allow_slow does nothing, as there.
-    """
-    scope = _scope(n, scope)
-    kinds = groups_of_order(n)
-    values = [_kind_minimum(kind, scope)[0] for kind in kinds]
-    return kind_stability(kinds[values.index(min(values))], scope)
+    non-isomorphic-only (nu).  Every pair is a transport of a pair whose
+    first table is canonical, and transport keeps distance, so this is the
+    least kind_stability over the kinds of order n, with the first kind's
+    witness at the least (see _stability).  allow_slow does nothing."""
+    return _stability(n, _scope(n, scope))

@@ -818,6 +818,15 @@ class TestIsomorphism:
             assert {f.image for f in auts} == set(map(tuple, perms[fixed].tolist()))
             assert all(cd.transport(g, f) == g for f in auts)
 
+    @pytest.mark.parametrize("n", range(1, MAX_BRUTE_ORDER + 1))
+    def test_automorphisms_wrap_the_array(self, n):
+        # one implementation: the oracle's coset pairs read the array itself
+        for kind in cd.groups_of_order(n):
+            g = cd.make_group(kind)
+            aut = cd.group_core._isomorphism_array(g, g)
+            assert aut.dtype == np.intp and aut.shape == (len(cd.automorphisms(g)), n)
+            assert cd.automorphisms(g) == [cd.Permutation(tuple(f)) for f in aut.tolist()]
+
     def test_prime_order_tables_are_cyclic(self):
         tables, labels, kinds, _ = cd.search.all_group_tables(5)
         assert len(tables) == 30

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from cayleydist.search import (
     _combinations,
     _distance_cells,
     _kernel_buffers,
-    _lex_permutations,
+    _ordered_permutations,
     _pattern_table,
     _phi_block,
     _phi_distances,
@@ -852,9 +853,88 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lex_permutations_match_itertools(self, n):
-        perms = _lex_permutations(n)
+        # with no pair to keep, the builder lists every permutation
+        perms = _ordered_permutations(n, [])
         assert perms.dtype == np.uint8
         assert np.array_equal(perms, np.array(list(itertools.permutations(range(n)))))
+
+    @staticmethod
+    def assert_keeps_pairs(n, pairs):
+        expected = [f for f in itertools.permutations(range(n)) if all(f[i] < f[j] for i, j in pairs)]
+        perms = _ordered_permutations(n, pairs)
+        assert perms.dtype == np.uint8 and perms.shape == (len(expected), n)
+        assert perms.tolist() == [list(f) for f in expected]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ordered_permutations_keep_each_kinds_pairs(self, n):
+        # the pairs (i, alpha(i)) at the first point i that each alpha != id
+        # moves, from automorphisms rather than from the build's array
+        for kind in cd.groups_of_order(n):
+            pairs = set()
+            for alpha in cd.automorphisms(cd.make_group(kind)):
+                moved = [(i, v) for i, v in enumerate(alpha.image) if v != i]
+                pairs.update(moved[:1])
+            self.assert_keeps_pairs(n, sorted(pairs))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ordered_permutations_keep_random_pairs(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 2 * n))]
+            self.assert_keeps_pairs(n, pairs)
+
+    # SHA-256 of the bytes of reps, labels and dists, as the build that
+    # sieved every n! permutation by a mask per automorphism pair, and
+    # counted all n^2 cells, made them
+    CACHE_DIGESTS = {
+        1: (
+            "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        ),
+        2: (
+            "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c",
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+            "4f35212d12f9ad2036492c95f1fe79baf4ec7bd9bef3dffa7579f2293ff546a4",
+        ),
+        3: (
+            "3279262c0c9e16ab3d5fce91c27963fb33236f6e253e1603fa90af682a669685",
+            "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+            "91d9c504ce6917c5924daa1c2bcdc0cfba2199d883ecbaade635711b8b0889e5",
+        ),
+        4: (
+            "705d9f3029f37c6e84fbd7112f39dca97ca7a07ad91eb611ec3ab129af155a91",
+            "1c9c561f16b56da8a4c063a97ad7a7db076c0d8465ea7e7965283271b71c4918",
+            "5622a7e5629ea45e1868220995bf380a8fd3d04f7b63b5d6eded86af894bcab7",
+        ),
+        5: (
+            "2348bf59a035c165a0be36230d076c2e1161ad1f08819db597bebc99f671f044",
+            "2dfba633817046c7f559ed4b93076048435f7e1a90f14eb8035c04b9ebae2537",
+            "d25ee265a1a11aedd860b55870b918c4c41d878dc6aaf3a17697ebf722cf0467",
+        ),
+        6: (
+            "4cbfe75e1887a1a348ef91f5784504ced8344308918af68327de4164df351225",
+            "8692a1079a26f52c6410d01377259bedc9e88c8517188bca14f65a45492c5eac",
+            "0cd0a7aba9016301d3953fe6e12424a5410bd49a2f1ab08f4f38759889b398e1",
+        ),
+        7: (
+            "b6ca9bf885405675f625eb29216fb54137456dc0af223e7e4da55228c097042a",
+            "53192a12b178687771e5a607727c1a7102e095fc05515a6e827a4eeff529a280",
+            "cb2fe32e76dbf7da3f87465e591642be472d5ca390fd332cbf1f65b750b75103",
+        ),
+        8: (
+            "c2e37ccc160811a4edc0da770ed29517e81f0daea18687bb2fb9f594b1f62279",
+            "c94e251f6d8f12a2a0a0e397621b3b6e475bdb81c547a669860ba77a23385246",
+            "6c6d054b154fc434a8f347acf78f3d8240a16da4f04ec6fc0daaef80e4234f2b",
+        ),
+    }
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cache_entry_digests(self, n):
+        reps, labels, _, dists = all_group_tables(n)
+        assert (reps.dtype, labels.dtype, dists.dtype) == (np.uint8, np.int64, np.uint8)
+        digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest() for arr in (reps, labels, dists))
+        assert digests == self.CACHE_DIGESTS[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_group_tables_matches_oracle(self, n):
@@ -1020,6 +1100,23 @@ class TestBruteDelta:
     def test_matches_minimum_over_kinds(self, n, scope):
         # One witness built per call, the same as every kind's own.
         assert cd.brute_delta(n, scope) == oracle_brute_delta_by_kinds(n, scope)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kind_stability_matches_a_scan_of_the_tables(self, n):
+        # every kind in every scope, against the first table at the least
+        # distance in a scan of the expanded tables
+        _, labels, kinds, _ = all_group_tables(n)
+        tables = expanded_tables(n)
+        for k, kind in enumerate(kinds):
+            base = cd.make_group(kind)
+            d = (tables != base.array).sum(axis=(1, 2))
+            scopes = {"all": d > 0, "mu": (labels == k) & (d > 0), "nu": labels != k}
+            for scope, mask in scopes.items():
+                if not mask.any():
+                    continue
+                j = int(np.flatnonzero(mask & (d == d[mask].min()))[0])
+                expected = (int(d[j]), (base, cd.validate_table(tables[j])))
+                assert cd.kind_stability(kind, scope) == expected
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_order_below_two(self, n):
