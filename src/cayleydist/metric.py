@@ -173,9 +173,10 @@ def min_transposition_mf(t: GroupTable) -> tuple[int, Permutation]:
     n = t.n
     if n < 5:
         raise OrderTooSmall(f"need order >= 5, got {n}")
-    us, vs = np.triu_indices(n, k=1)
+    points = np.arange(n)
+    us, vs = (points[:, None] < points).nonzero()  # row-major: (u, v) lexicographic
     mf = _transposition_mf(t, us, vs)
-    k = int(np.argmin(mf))
+    k = int(mf.argmin())
     return int(mf[k]), Permutation.transposition(n, int(us[k]), int(vs[k]))
 
 
@@ -197,7 +198,10 @@ def _transposition_mf(t: GroupTable, u: np.ndarray, v: np.ndarray) -> np.ndarray
       - [out(u'v) and v.u'v = u] - [out(v'u) and u.v'u = v].
     - b in S, a outside: the mirror image, 2n - 4 - 2 eps
       - [out(vu') and vu'.v = u] - [out(uv') and uv'.u = v].
-    - a, b in S: the four corner cells, compared directly.
+    - a, b in S: the four corner cells, compared directly.  tau is an
+      involution, so tau(a) != b iff a != tau(b): the cells (v, v) and
+      (v, u) disagree exactly when (u, u) and (u, v) do, and the corner is
+      2 ([tau(uu) != vv] + [tau(uv) != vu]).  This needs no group axiom.
 
     The derivation uses inverses and associativity, so t must be a group.
     The four products all say that u'v is an involution, I = [u'v = v'u].
@@ -222,14 +226,8 @@ def _transposition_mf(t: GroupTable, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
     involution = at(iu, v) == at(iv, u)
     outs = out(at(u, iv)).astype(np.intp) + out(at(v, iu))
-    uu, uv, vu, vv = at(u, u), at(u, v), at(v, u), at(v, v)
-    corner = (
-        (tau(uu) != vv).astype(np.intp)
-        + (tau(uv) != vu)
-        + (tau(vu) != uv)
-        + (tau(vv) != uu)
-    )
-    return 3 * (2 * n - 4 - 2 * out(e)) - (1 + 2 * involution) * outs + corner
+    half_corner = (tau(at(u, u)) != at(v, v)).astype(np.intp) + (tau(at(u, v)) != at(v, u))
+    return 3 * (2 * n - 4 - 2 * out(e)) - (1 + 2 * involution) * outs + 2 * half_corner
 
 
 def estim2_bounds(n: int, m: int, l: int) -> tuple[int, Optional[int]]:

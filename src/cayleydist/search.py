@@ -263,10 +263,10 @@ def _combinations(p: int, k: int) -> np.ndarray:
         # A row ending in v has the children v+1, ..., p-1, in order; a row
         # ending in p-1 has none and drops out.
         children = p - 1 - last
-        ends = np.cumsum(children)
-        offset = np.arange(ends[-1]) - np.repeat(ends - children, children)
-        last = np.repeat(last, children) + 1 + offset
-        combos = np.column_stack((np.repeat(combos, children, axis=0), last.astype(np.uint8)))
+        ends = np.add.accumulate(children)
+        offset = np.arange(ends[-1]) - (ends - children).repeat(children)
+        last = last.repeat(children) + 1 + offset
+        combos = np.concatenate((combos.repeat(children, 0), last.astype(np.uint8)[:, None]), 1)
     return combos
 
 
@@ -311,7 +311,7 @@ def _pattern_table(p: int, m: int) -> np.ndarray:
     """
     sums = np.zeros((math.comb(p - 2, m - 1), m), dtype=np.uint8)  # c_0 = 0, then c
     sums[:, 1:] = _combinations(p - 1, m - 1)
-    gaps = np.diff(sums, axis=1)
+    gaps = sums[:, 1:] - sums[:, :-1]
     # g <= reversed(g): decided at the first k from the left, k < (m-1)/2,
     # where g_k and g_{m-2-k} differ, so fold the comparison from the middle
     # out
@@ -319,12 +319,12 @@ def _pattern_table(p: int, m: int) -> np.ndarray:
     for k in reversed(range((m - 1) // 2)):
         left, right = gaps[:, k], gaps[:, m - 2 - k]
         at_most = (left < right) | ((left == right) & at_most)
-    kept = np.flatnonzero(at_most)
+    kept = at_most.nonzero()[0]
     total = sums[kept, -1].astype(np.intp)
     a = np.arange(1, p - 1)[:, None]  # a + S <= p - 1 and S >= 1
-    cut = np.flatnonzero((total == p - 1 - a) | (total <= p - 1 - 2 * a))
+    cut = ((total == p - 1 - a) | (total <= p - 1 - 2 * a)).ravel().nonzero()[0]
     a_index, row = np.divmod(cut, len(kept))
-    table = sums.take(kept[row], axis=0)
+    table = sums.take(kept.take(row), 0)
     table += (a_index + 1).astype(np.uint8)[:, None]
     return table
 
@@ -371,9 +371,9 @@ def _phi_block(p: int, positions: np.ndarray, order: tuple[int, ...]) -> np.ndar
     bounds = np.zeros((b, m + 2), dtype=np.uint8)  # piece j is bounds[j]..bounds[j+1]-1
     bounds[:, 1:-1] = positions + 1
     bounds[:, -1] = p
-    lengths = np.diff(bounds, axis=1)[:, order]
-    shifts = bounds[:, order] - (np.cumsum(lengths, axis=1, dtype=np.uint8) - lengths)
-    phi = np.repeat(shifts.ravel(), lengths.ravel()).reshape(b, p)
+    lengths = (bounds[:, 1:] - bounds[:, :-1]).take(order, 1)
+    shifts = bounds.take(order, 1) - (np.add.accumulate(lengths, 1, np.uint8) - lengths)
+    phi = shifts.ravel().repeat(lengths.ravel()).reshape(b, p)
     phi += np.arange(p, dtype=np.uint8)
     return np.ascontiguousarray(phi.T)
 
@@ -448,7 +448,7 @@ def _phi_distances(
     # contiguous (cells, B) views, so that take writes in place
     s, t, xy = (buf[: n * width].reshape(n, width) for buf in gathers)
     for idx, buf in zip(cells, (s, t, xy)):
-        np.take(phi, idx, axis=0, out=buf, mode="clip")
+        phi.take(idx, 0, buf, "clip")
     np.add(s, t, out=s)
     np.subtract(s, np.uint8(p), out=t)
     np.minimum(s, t, out=s)
@@ -456,9 +456,9 @@ def _phi_distances(
     chunk, upper = chunk[:width], upper[:width]
     upper[:] = 0
     for lo in range(p - 1, n, 255):
-        np.add(upper, bad[lo : lo + 255].sum(axis=0, dtype=np.uint8, out=chunk), out=upper)
+        np.add(upper, np.add.reduce(bad[lo : lo + 255], 0, np.uint8, chunk), out=upper)
     upper <<= 1
-    return np.add(upper, bad[: p - 1].sum(axis=0, dtype=np.uint8, out=chunk), out=out)
+    return np.add(upper, np.add.reduce(bad[: p - 1], 0, np.uint8, chunk), out=out)
 
 
 def _search_m(p: int, m: int, rows: int) -> MCase:
@@ -499,7 +499,7 @@ def _search_m(p: int, m: int, rows: int) -> MCase:
     min_distance: Optional[int] = None
     witness: Optional[PatternMod] = None
     if dvals.size:
-        j, r = divmod(int(np.argmin(dvals)), len(scored))
+        j, r = divmod(int(dvals.argmin()), len(scored))
         min_distance = int(dvals[j, r])
         witness = _pattern(p, 1, tuple(positions[j].tolist()), scored[r][0])
     return MCase(

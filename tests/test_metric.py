@@ -232,11 +232,12 @@ class TestMinTransposition:
     @pytest.mark.parametrize(
         "label",
         ["cyclic:3*cyclic:3", "e2:4", "cyclic:2*dihedral:3", "q8*cyclic:3"]
-        + ["dihedral:7", "cyclic:13"],
+        + ["dihedral:7", "cyclic:11", "cyclic:13", "cyclic:17"],
     )
     def test_every_transposition_matches_oracle(self, label):
-        # every value, not only the minimum, on non-abelian products and on
-        # a transport that moves the identity off 0
+        # every value, not only the minimum, on non-abelian products, on the
+        # tables that prime_stability_verify scores, and on a transport
+        # that moves the identity off 0
         base = cd.make_group(cd.GroupKind.parse(label))
         moved = cd.transport(base, random_permutation(base.n, random.Random(label)))
         assert moved.identity != 0

@@ -337,20 +337,19 @@ class TestKernelArithmetic:
             assert out[k] == cd.hom_distance(f, z127, z127) >= 6 * p - 18
 
 
+def derangements(m: int) -> list[tuple[int, ...]]:
+    return [r for r in itertools.permutations(range(m)) if all(r[j] != j for j in range(m))]
+
+
 class TestSegmentRule:
     def test_rule_matches_walk(self):
         # every derangement at m = 2..6 and every position set at p = 11, 13
         # and 17: _piece_order completes exactly the patterns the walk
         # completes, and _phi_block builds the walk's phi
-        completing = {}
         for m in range(2, 7):
-            derangements = [
-                r for r in itertools.permutations(range(m)) if all(r[j] != j for j in range(m))
-            ]
-            completing[m] = sum(_piece_order(r) is not None for r in derangements)
             for p in (11, 13, 17):
                 positions = np.array(list(itertools.combinations(range(1, p), m)), dtype=np.uint8)
-                for r in derangements:
+                for r in derangements(m):
                     phi, ok = oracle_complete_block(p, 1, positions, positions[:, list(r)])
                     order = _piece_order(r)
                     if order is None:
@@ -358,8 +357,14 @@ class TestSegmentRule:
                     else:
                         assert ok.all()
                         assert np.array_equal(_phi_block(p, positions, order), phi)
-        # cyclic permutations with no i -> i + 1 (OEIS A000757)
-        assert completing == {2: 0, 3: 1, 4: 1, 5: 8, 6: 36}
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_completing_count(self, m):
+        # the completing derangements are the cyclic permutations of 0..m
+        # with no i -> i + 1 (OEIS A000757):
+        # a(m) = (-1)^m + sum over k < m of (-1)^k C(m, k) (m - k - 1)!
+        a = (-1) ** m + sum((-1) ** k * math.comb(m, k) * math.factorial(m - k - 1) for k in range(m))
+        assert sum(_piece_order(r) is not None for r in derangements(m)) == a
 
     def test_rearrangements_that_complete(self):
         assert [_piece_order(nxt) for nxt in search.REARRANGEMENTS[3]] == [(0, 2, 1, 3), None]
@@ -1117,6 +1122,28 @@ class TestBruteDelta:
                 j = int(np.flatnonzero(mask & (d == d[mask].min()))[0])
                 expected = (int(d[j]), (base, cd.validate_table(tables[j])))
                 assert cd.kind_stability(kind, scope) == expected
+
+    @pytest.mark.parametrize("scope", ["all", "mu", "nu"])
+    def test_scope_slices_on_a_made_matrix(self, monkeypatch, scope):
+        # A dists matrix where each kind's last own table is the one table
+        # at the least of its row, which no catalog order has: all and mu
+        # must find it, and nu must leave it out with the rest of the kind.
+        reps, labels, kinds, dists = all_group_tables(6)
+        tables = expanded_tables(6)
+        lasts = (np.searchsorted(labels, range(1, len(kinds) + 1)) - 1).tolist()
+        made = np.where(dists == 0, dists, np.maximum(dists, 10))
+        made[range(len(kinds)), lasts] = 2
+        monkeypatch.setattr(search, "all_group_tables", lambda n: (reps, labels, kinds, made))
+        results = []
+        for k, kind in enumerate(kinds):
+            d = made[k]
+            mask = {"all": d > 0, "mu": (labels == k) & (d > 0), "nu": labels != k}[scope]
+            j = int(np.flatnonzero(mask & (d == d[mask].min()))[0])
+            assert (j == lasts[k]) == (scope != "nu")
+            base = cd.make_group(kind)
+            results.append((int(d[j]), (base, cd.validate_table(tables[j]))))
+            assert cd.kind_stability(kind, scope) == results[-1]
+        assert cd.brute_delta(6, scope) == min(results, key=lambda r: r[0])
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_order_below_two(self, n):
