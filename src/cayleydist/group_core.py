@@ -290,7 +290,10 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
     Reads cells as the constructor does, then raises NotLatin / NoIdentity
     / NotAssociative naming the first offender.  Each pass runs on the whole
     array; Python walks only the offending row or column, to name the
-    offender as a row-major scan would.
+    offender as a row-major scan would.  A two-sided identity e has
+    e * 0 = 0, and column 0 of a Latin square holds 0 once, so the row
+    holding it there is the one candidate, and only its row and column are
+    checked.
     """
     arr = _cell_array(cells)
     n = len(arr)
@@ -305,11 +308,9 @@ def validate_table(cells: Sequence[Sequence[int]]) -> GroupTable:
                 if v in seen:
                     raise NotLatin(f"{name} {a} repeats value {v} at {other} {seen[v]} and {b}")
                 seen[v] = b
-    # The first a whose row and column both read 0..n-1.
-    is_identity = (arr == line).all(axis=1) & (arr.T == line).all(axis=1)
-    if not is_identity.any():
+    e = arr[:, 0].tolist().index(0)
+    if not arr[e].tolist() == arr[:, e].tolist() == list(range(n)):
         raise NoIdentity("no two-sided identity element")
-    e = int(np.argmax(is_identity))
     t = GroupTable._from_array(arr, identity=e)
     # The c with (ab)c = a(bc) for every a, b include e and are closed under
     # products, so once they include a generating sequence they include all
@@ -578,12 +579,18 @@ def _homs_from_generators(
     of images, a (K, len(gens)) array, and extend along the walk of _span:
     a (K', a.n) array, in the order of images.  An element the walk does
     not reach stays -1, so no map is kept unless gens span a."""
-    f = np.full((len(images), a.n), -1, dtype=np.intp)
+    # Built as (a.n, K), so that each step of the walk writes one
+    # contiguous row: the images of y under every map.
+    f = np.empty((a.n, len(images)), dtype=np.intp)
+    f.fill(-1)
+    columns = images.T
     for y, (x, i) in _span(a, gens).items():
-        f[:, y] = b.identity if x < 0 else b.array[f[:, x], images[:, i]]
-    hom = (f[:, a.array] == b.array[f[:, :, None], f[:, None, :]]).all(axis=(1, 2))
+        f[y] = b.identity if x < 0 else b.array[f[x], columns[i]]
+    f = f.T
+    same = f[:, a.array] == b.array[f[:, :, None], f[:, None, :]]
+    hom = np.logical_and.reduce(same.reshape(len(f), -1), 1)
     # A homomorphism between groups of one order is bijective iff its kernel is trivial.
-    return f[hom & (f >= 0).all(axis=1) & ((f == b.identity).sum(axis=1) == 1)]
+    return f[hom & np.logical_and.reduce(f >= 0, 1) & (np.add.reduce(f == b.identity, 1) == 1)]
 
 
 def _isomorphism_array(a: GroupTable, b: GroupTable) -> np.ndarray:

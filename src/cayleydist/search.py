@@ -562,11 +562,16 @@ def _ordered_permutations(n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarra
     so a row takes only the v up to its least at the columns paired with i."""
     perms = np.zeros((1, 0), dtype=np.uint8)
     for i in reversed(range(n)):
-        low = perms[:, [b - i - 1 for a, b in pairs if a == i]].min(axis=1, initial=n - i)
-        first, row = np.nonzero(low >= np.arange(n - i)[:, None])  # by first value, then row
-        rest = perms[row]
-        rest += rest >= first[:, None]
-        perms = np.column_stack((first.astype(np.uint8), rest))
+        paired = perms.take([b - i - 1 for a, b in pairs if a == i], 1)
+        low = np.minimum.reduce(paired, 1, initial=n - i)
+        # by first value, then row
+        first, row = (low >= np.arange(n - i, dtype=np.uint8)[:, None]).nonzero()
+        grown = np.empty((len(row), n - i), dtype=np.uint8)
+        grown[:, 0] = first
+        rest = perms.take(row, 0)
+        rest += rest >= grown[:, :1]
+        grown[:, 1:] = rest
+        perms = grown
     return perms
 
 
@@ -586,15 +591,20 @@ def _mismatch_lookup(bases: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...], np.ndarray]:
+def all_group_tables(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, ...], np.ndarray, tuple[GroupTable, ...]]:
     """Every group table on {0..n-1}, each once, as the permutation that
-    makes it from its canonical table, with iso-class labels and its
-    distance from each canonical table, all in one cache entry.
+    makes it from its canonical table, with iso-class labels, its
+    distance from each canonical table, and the canonical tables
+    themselves, all in one cache entry.
 
     Returns (reps (N, n) uint8, labels (N,) int, kinds, dists
-    (len(kinds), N) uint8), all read-only, since every caller shares them
-    through the cache.  Table i is the transport T[f x, f y] = f(G[x, y])
-    of G = make_group(kinds[labels[i]]) by f = reps[i].  Tables come kind
+    (len(kinds), N) uint8, bases), the arrays read-only, since every caller
+    shares them through the cache; bases[k] is make_group(kinds[k]), the
+    table the build reads, kept so that _stability builds its witnesses
+    from it rather than anew.  Table i is the transport T[f x, f y] =
+    f(G[x, y]) of G = bases[labels[i]] by f = reps[i].  Tables come kind
     by kind in catalog order and within a kind in the lexicographic order
     of f.  Two f give one table iff they lie in one coset f Aut(G), so each
     kind has n! / |Aut(G)| tables, and reps[i] is the first f of table i's
@@ -605,7 +615,7 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
 
     No table is built.  Substituting a = f x, b = f y in the count over the
     cells (a, b), dists[k, i] = #{(x, y) : B_k[f x, f y] != f(G[x, y])} for
-    B_k = make_group(kinds[k]): a sum over the n^2 cells (x, y) of byte k
+    B_k = bases[k]: a sum over the n^2 cells (x, y) of byte k
     of _mismatch_lookup's L[f(x) n^2 + f(y) n + f(G[x, y])], so one gather
     and one sum count every kind.  Only the cells with x, y != 0 are
     gathered: G and B_k have identity 0, so the 2n - 1 others compare
@@ -615,25 +625,27 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
     allocated once.
     """
     kinds = tuple(groups_of_order(n))
-    groups = [make_group(kind) for kind in kinds]
+    bases = tuple(make_group(kind) for kind in kinds)
     reps_of = []
-    for g in groups:
+    for g in bases:
         aut = _isomorphism_array(g, g)
-        first = (aut != np.arange(n)).argmax(axis=1)  # 0 for alpha = id, which has no pair
-        pairs = np.column_stack((first, aut[np.arange(len(aut)), first]))
-        reps_of.append(_ordered_permutations(n, pairs[pairs[:, 0] != pairs[:, 1]].tolist()))
+        first = (aut != np.arange(n)).argmax(1)  # 0 for alpha = id, which has no pair
+        second = aut[np.arange(len(aut)), first]
+        moved = first != second
+        pairs = list(zip(first[moved].tolist(), second[moved].tolist()))
+        reps_of.append(_ordered_permutations(n, pairs))
     counts = [len(r) for r in reps_of]
-    labels = np.repeat(np.arange(len(kinds)), counts)
+    labels = np.arange(len(kinds)).repeat(counts)
     reps = np.concatenate(reps_of)
     dists = np.empty((len(kinds), len(labels)), dtype=np.uint8)
-    lookup = _mismatch_lookup([g.array for g in groups])
+    lookup = _mismatch_lookup([g.array for g in bases])
     width = min(_TABLE_BLOCK, len(labels))
     # f as (n, block), f n at x != 0 as (n - 1, block); the lookup index
     # and its hits, which first hold f n^2, as ((n - 1)^2, block)
     bufs = [np.empty(r * width, dtype=np.intp) for r in (n, n - 1, (n - 1) ** 2, (n - 1) ** 2)]
     sums = np.empty(width, dtype=np.uint64)
-    ends = np.cumsum(counts).tolist()
-    for g, lo, hi in zip(groups, [0] + ends, ends):
+    ends = list(itertools.accumulate(counts))
+    for g, lo, hi in zip(bases, [0] + ends, ends):
         cells = g.array[1:, 1:].ravel()
         for start in range(lo, hi, _TABLE_BLOCK):
             b = min(_TABLE_BLOCK, hi - start)
@@ -642,19 +654,19 @@ def all_group_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[GroupKind, .
             np.multiply(f[1:], n, out=fn)
             fnn = np.multiply(fn, n, out=hits[: n - 1])
             np.add(fnn[:, None], fn, out=idx.reshape(n - 1, n - 1, b))
-            np.add(idx, np.take(f, cells, axis=0, out=hits, mode="clip"), out=idx)
-            hits = np.take(lookup, idx, out=hits.view(np.uint64), mode="clip")
-            total = np.sum(hits, axis=0, out=sums[:b])
+            np.add(idx, f.take(cells, 0, hits, "clip"), out=idx)
+            hits = lookup.take(idx, 0, hits.view(np.uint64), "clip")
+            total = np.add.reduce(hits, 0, None, sums[:b])
             dists[:, start : start + b] = total.view(np.uint8).reshape(b, 8)[:, : len(kinds)].T
     dists += np.uint8(2 * n - 1) * (reps[:, 0] != 0)  # row 0 and column 0
     for arr in (reps, labels, dists):
         arr.setflags(write=False)  # shared by every caller of the cache
-    return reps, labels, kinds, dists
+    return reps, labels, kinds, dists, bases
 
 
 def distinct_table_counts(n: int) -> dict[str, int]:
     """Number of distinct tables per isomorphism class, n! / |Aut G|."""
-    _, labels, kinds, _ = all_group_tables(n)
+    _, labels, kinds, _, _ = all_group_tables(n)
     counts = np.bincount(labels, minlength=len(kinds)).tolist()
     return {kind.label(): c for kind, c in zip(kinds, counts)}
 
@@ -679,9 +691,11 @@ def _stability(n: int, scope: str, kind: Optional[GroupKind] = None) -> Witnesse
     of the first kind at the least over the kinds of order n) to a table of
     the scope, and its witness pair, by one argmin over those kinds' rows of
     dists less 1 in uint8: 255 for the canonical table and each table out of
-    scope, above any other (n^2 - 1 < 255).  The witness's other table is
-    the one table built, by transport from its coset representative."""
-    reps, labels, kinds, dists = all_group_tables(n)
+    scope, above any other (n^2 - 1 < 255).  The witness's first table is
+    that kind's canonical table from the cache entry's bases, and its other
+    table the one table built: the transport of its kind's base by its coset
+    representative, checked by validate_table."""
+    reps, labels, kinds, dists, bases = all_group_tables(n)
     if kind is not None and kind not in kinds:
         raise InputError(f"{kind} is not a group of order {n} in the catalog")
     ks = range(len(kinds)) if kind is None else [kinds.index(kind)]
@@ -692,13 +706,13 @@ def _stability(n: int, scope: str, kind: Optional[GroupKind] = None) -> Witnesse
             row[: ends[k]] = row[ends[k + 1] :] = 255
         elif scope == "nu":
             row[ends[k] : ends[k + 1]] = 255
-    first, least = less.argmin(axis=1), less.min(axis=1)
-    r = int(np.argmin(least))  # the first kind at the least
+    first, least = less.argmin(1), np.minimum.reduce(less, 1)
+    r = int(least.argmin())  # the first kind at the least
     if least[r] == 255:
         raise InputError(f"no table satisfies scope {scope!r} at order {n}")
     j = first[r]
-    moved = transport(make_group(kinds[labels[j]]), Permutation(tuple(reps[j].tolist())))
-    return int(least[r]) + 1, (make_group(kinds[ks[r]]), validate_table(moved.array))
+    moved = transport(bases[labels[j]], Permutation(tuple(reps[j].tolist())))
+    return int(least[r]) + 1, (bases[ks[r]], validate_table(moved.array))
 
 
 def kind_stability(kind: GroupKind, scope: str = "all", allow_slow: bool = False) -> Witnessed:

@@ -429,7 +429,7 @@ def expanded_tables(n: int) -> np.ndarray:
     """all_group_tables(n)'s tables as an (N, n, n) uint8 array: table i is
     the canonical table of its kind transported by reps[i], as a fancy
     gather f[G[f^-1, f^-1]] with f^-1 by argsort."""
-    reps, labels, kinds, _ = all_group_tables(n)
+    reps, labels, kinds, _, _ = all_group_tables(n)
     tables = np.empty((len(reps), n, n), dtype=np.uint8)
     for label, kind in enumerate(kinds):
         own = labels == label

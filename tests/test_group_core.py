@@ -176,7 +176,8 @@ class TestValidateTable:
             cd.validate_table(cells)
 
     @pytest.mark.parametrize(
-        "kind", ["range", "row", "column", "identity", "ragged", "noninteger", "notrow"]
+        "kind",
+        ["range", "row", "column", "identity", "ragged", "noninteger", "notrow", "shuffle", "relabel"],
     )
     def test_first_offender_matches_row_scan(self, kind):
         rng = random.Random(kind)
@@ -198,6 +199,7 @@ class TestValidateTable:
         first_word = {"range": "cell", "row": "row", "column": "column", "identity": "no", "ragged": "row"}
         first_word["noninteger"] = "cell"
         first_word["notrow"] = "row"
+        first_word["shuffle"] = first_word["relabel"] = "no"
         assert first_word[kind] in raised
 
     def test_ingested_identity_need_not_be_zero(self):
@@ -223,6 +225,12 @@ def _broken_table(kind: str, rng: random.Random) -> list[list[int]]:
         cells[a][b], cells[a][c] = cells[a][c], cells[a][b]
     elif kind == "identity":  # rows and columns stay Latin
         rng.shuffle(cells)
+    elif kind == "shuffle":  # Latin; keeps a right identity, and most orders no left one
+        order = random_permutation(n, rng).image
+        cells = [[row[c] for c in order] for row in cells]
+    elif kind == "relabel":  # Latin, with a new symbol for each value
+        symbol = random_permutation(n, rng).image
+        cells = [[symbol[v] for v in row] for row in cells]
     elif kind == "ragged":  # a short row, maybe after an out-of-range cell
         del cells[a][b]
         if rng.random() < 0.5:
@@ -828,7 +836,7 @@ class TestIsomorphism:
             assert cd.automorphisms(g) == [cd.Permutation(tuple(f)) for f in aut.tolist()]
 
     def test_prime_order_tables_are_cyclic(self):
-        tables, labels, kinds, _ = cd.search.all_group_tables(5)
+        tables, labels, kinds, _, _ = cd.search.all_group_tables(5)
         assert len(tables) == 30
         assert set(labels.tolist()) == {0} and kinds[0].label() == "cyclic:5"
 

@@ -405,6 +405,61 @@ class TestAnalyticBounds:
             bounds = dict(cd.analytic_lower_bound(p, m).bounds)
             assert bounds[f"disjoint_pairs_quarter_l{l}"] - (6 * p - 18) == D(p)
 
+    # Over the 9! maps phi of Z_11 with phi(0) = 0 and phi(1) = 1, by least
+    # non-identity row distance m: (maps with that least row, least total
+    # distance among them, maps at that distance).
+    PREMISE_AT_11 = {
+        0: (1, 0, 1),
+        3: (780, 48, 40),
+        4: (1295, 58, 10),
+        5: (13090, 62, 10),
+        6: (48500, 66, 5),
+        7: (126105, 71, 20),
+        8: (136680, 80, 4),
+        9: (34435, 90, 203),
+        10: (1994, 100, 1994),
+    }
+
+    def test_premise_holds_on_every_table_at_11(self):
+        # The bounds' premise, checked on every table on Z_11 that shares
+        # its identity 0.  Each is the transport of Z_11 by one phi with
+        # phi(0) = 0 and phi(1) = 1 (compose with x -> kx, an automorphism,
+        # to fix phi(1)).  Row phi(u) of the transport differs from Z_11's
+        # at the v with phi(u + v) != phi(u) + phi(v), never at u = 0 or
+        # v = 0.  The maps go in chunks of 8!, one per phi(2), each phi in a
+        # uint8 row.
+        p = 11
+        tail = np.array(list(itertools.permutations(range(p - 3))))
+        u = np.arange(1, p)
+        least_rows, totals, sample = [], [], []
+        rng = random.Random(11)
+        for second in range(2, p):
+            phi = np.empty((len(tail), p), dtype=np.uint8)
+            phi[:, :3] = 0, 1, second
+            phi[:, 3:] = np.array([v for v in range(2, p) if v != second])[tail]
+            left = phi[:, (u[:, None] + u) % p]
+            right = (phi[:, u, None] + phi[:, None, u]) % p
+            rows = np.add.reduce(left != right, 2)  # (maps, rows u = 1..p-1)
+            least_rows.append(rows.min(1))
+            totals.append(rows.sum(1))
+            for i in rng.sample(range(len(phi)), 4):
+                sample.append((phi[i], int(least_rows[-1][i]), int(totals[-1][i])))
+        least_row, total = np.concatenate(least_rows), np.concatenate(totals)
+        found = {}
+        for m in np.unique(least_row).tolist():
+            at_m = total[least_row == m]
+            found[m] = (len(at_m), int(at_m.min()), int((at_m == at_m.min()).sum()))
+        assert found == self.PREMISE_AT_11
+        for m in range(3, p):
+            assert cd.analytic_lower_bound(p, m).best <= found[m][1]
+        # the mask against the library's distances
+        z = cyclic(p)
+        for phi, row_min, distance in sample:
+            f = cd.Permutation(tuple(phi.tolist()))
+            d = cd.dist(z, cd.transport(z, f))
+            assert (d.m, d.total) == (row_min, distance)
+            assert cd.hom_distance(f, z, z) == distance
+
     def test_errors(self):
         with pytest.raises(NotPrime):
             cd.analytic_lower_bound(15, 3)

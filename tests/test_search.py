@@ -936,14 +936,16 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cache_entry_digests(self, n):
-        reps, labels, _, dists = all_group_tables(n)
+        reps, labels, kinds, dists, bases = all_group_tables(n)
         assert (reps.dtype, labels.dtype, dists.dtype) == (np.uint8, np.int64, np.uint8)
         digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest() for arr in (reps, labels, dists))
         assert digests == self.CACHE_DIGESTS[n]
+        # the canonical tables the build reads and the witnesses are made from
+        assert bases == tuple(cd.make_group(kind) for kind in kinds)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_group_tables_matches_oracle(self, n):
-        reps, labels, kinds, _ = all_group_tables(n)
+        reps, labels, kinds, _, _ = all_group_tables(n)
         tables = expanded_tables(n)
         expected = oracle_all_group_tables(n)
         assert reps.dtype == np.uint8 and reps.shape == (len(labels), n)
@@ -967,7 +969,7 @@ class TestBruteDelta:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reps_are_first_of_their_coset(self, n):
         # every row at n <= 7; a seeded sample of 2000 rows at n = 8
-        reps, labels, kinds, _ = all_group_tables(n)
+        reps, labels, kinds, _, _ = all_group_tables(n)
         tables = expanded_tables(n)  # equal to the oracle's, as tested above
         # the oracle keeps the first f, in itertools order, of each table
         assert np.array_equal(reps, oracle_all_group_tables(n)[3])
@@ -979,7 +981,7 @@ class TestBruteDelta:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dists_are_distances_to_the_canonical_tables(self, n):
         # every table at n <= 7; a seeded sample of 2000 per kind at n = 8
-        _, _, kinds, dists = all_group_tables(n)
+        _, _, kinds, dists, _ = all_group_tables(n)
         tables = expanded_tables(n)
         assert dists.dtype == np.uint8 and dists.shape == (len(kinds), len(tables))
         rng = random.Random(n)
@@ -992,7 +994,7 @@ class TestBruteDelta:
     def test_every_dist_at_order_8(self):
         # all 5 x 22 080 entries, against the mismatch count of each table
         # that expanded_tables builds by its own gather
-        _, _, kinds, dists = all_group_tables(8)
+        _, _, kinds, dists, _ = all_group_tables(8)
         tables = expanded_tables(8)
         for k, kind in enumerate(kinds):
             base = cd.make_group(kind).array
@@ -1032,7 +1034,7 @@ class TestBruteDelta:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_block_boundaries(self, small_table_block, n):
-        _, labels, kinds, dists = all_group_tables(n)
+        _, labels, kinds, dists, _ = all_group_tables(n)
         tables = expanded_tables(n)
         expected = oracle_all_group_tables(n)
         assert np.array_equal(tables, expected[0])
@@ -1045,7 +1047,7 @@ class TestBruteDelta:
 
     def test_build_memory_is_bounded_by_the_block(self):
         # What the build keeps, and its peak over that, with a cold table
-        # cache: the kept reps, labels and dists come to about 0.48 MiB
+        # cache: the kept reps, labels, dists and bases come to about 0.45 MiB
         all_group_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -1073,6 +1075,38 @@ class TestBruteDelta:
         # kind_stability validates its witness built from a read-only row of reps
         value, (base, other) = cd.kind_stability(cd.GroupKind.cyclic(4), "mu")
         assert cd.dist(base, other).total == value > 0
+
+    def test_warm_cache_builds_no_canonical_table(self, monkeypatch):
+        # once order 8 is cached, every witness's first table is its kind's
+        # base from the cache entry, and no call builds one anew
+        all_group_tables(8)
+        make = search.make_group
+        calls = []
+        monkeypatch.setattr(search, "make_group", lambda kind: calls.append(kind) or make(kind))
+        kinds = cd.groups_of_order(8)
+        for scope in ("all", "mu", "nu"):
+            _, (base, _) = cd.brute_delta(8, scope)
+            assert base in [make(kind) for kind in kinds]
+            for kind in kinds:
+                _, (base, _) = cd.kind_stability(kind, scope)
+                assert base == make(kind)
+        assert calls == []
+
+    def test_cache_clear_makes_the_next_call_build(self, monkeypatch):
+        # the table cache is the one cache: after cache_clear the next
+        # call enumerates the coset representatives again, one kind at a time
+        build = search._ordered_permutations
+        calls = []
+        counted = lambda n, pairs: calls.append(n) or build(n, pairs)
+        monkeypatch.setattr(search, "_ordered_permutations", counted)
+        all_group_tables(6)
+        cd.brute_delta(6, "mu")
+        calls.clear()
+        cd.kind_stability(cd.GroupKind.dihedral(3), "nu")
+        assert calls == []
+        all_group_tables.cache_clear()
+        cd.kind_stability(cd.GroupKind.dihedral(3), "nu")
+        assert calls == [6, 6]
 
     @pytest.mark.parametrize(
         "n,scope",
@@ -1110,7 +1144,7 @@ class TestBruteDelta:
     def test_kind_stability_matches_a_scan_of_the_tables(self, n):
         # every kind in every scope, against the first table at the least
         # distance in a scan of the expanded tables
-        _, labels, kinds, _ = all_group_tables(n)
+        _, labels, kinds, _, _ = all_group_tables(n)
         tables = expanded_tables(n)
         for k, kind in enumerate(kinds):
             base = cd.make_group(kind)
@@ -1128,12 +1162,12 @@ class TestBruteDelta:
         # A dists matrix where each kind's last own table is the one table
         # at the least of its row, which no catalog order has: all and mu
         # must find it, and nu must leave it out with the rest of the kind.
-        reps, labels, kinds, dists = all_group_tables(6)
+        reps, labels, kinds, dists, bases = all_group_tables(6)
         tables = expanded_tables(6)
         lasts = (np.searchsorted(labels, range(1, len(kinds) + 1)) - 1).tolist()
         made = np.where(dists == 0, dists, np.maximum(dists, 10))
         made[range(len(kinds)), lasts] = 2
-        monkeypatch.setattr(search, "all_group_tables", lambda n: (reps, labels, kinds, made))
+        monkeypatch.setattr(search, "all_group_tables", lambda n: (reps, labels, kinds, made, bases))
         results = []
         for k, kind in enumerate(kinds):
             d = made[k]
